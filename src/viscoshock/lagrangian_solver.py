@@ -11,20 +11,27 @@ Volumes live at cell centers and velocities at cell interfaces, so both
 conservation laws telescope exactly.  The pressure gradient is explicit,
 the dissipative term is backward Euler with the coefficient frozen at the
 current volume field, which removes the parabolic step restriction; the
-remaining constraint is the acoustic CFL limit.  Velocities at the two
-boundary interfaces are held at their initial values (domains are sized
-so the wave never comes near the boundary), and volumes evolve
-conservatively everywhere so that the discrete mass identity is exact to
-rounding.
+remaining constraint is the acoustic CFL limit.  The implicit velocity
+matrix is symmetric positive-definite tridiagonal, so it is solved with
+LAPACK's dptsv.  Velocities at the two boundary interfaces are held at
+their initial values (domains are sized so the wave never comes near the
+boundary), and volumes evolve conservatively everywhere so that the
+discrete mass identity is exact to rounding.
+
+Volumes are validated at the public edge only: step checks its input
+state, run checks it once on entry, and the stepping kernel relies on
+each step rejecting a non-positive result.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from .errors import NumericalError, ValidationError
-from .euler_waves import PressureLaw, ShockData, d_pressure, pressure
+from .euler_waves import (PressureLaw, ShockData, _check_positive_volume,
+                          pressure)
 from .shock_profile import ViscousProfile, rescaled_profile_eval
 
 __all__ = [
@@ -87,7 +94,14 @@ class SolverState:
     shock: ShockData | None = field(default=None, repr=False)
 
     def max_wave_speed(self) -> float:
-        return float(np.sqrt(np.max(-d_pressure(self.v, self.law))))
+        v = _check_positive_volume(self.v)
+        return _wave_speed(float(np.min(v)), self.law.gamma)
+
+
+def _wave_speed(v_min, gamma):
+    # -p'(v) = gamma*v**(-gamma-1) falls as v rises, so the fastest
+    # acoustic speed sits at the smallest volume
+    return math.sqrt(gamma * v_min ** (-gamma - 1.0))
 
 
 def _freeze(arr):
@@ -129,54 +143,74 @@ def init_constant(grid: Grid1D, v0: float, u0: float, alpha: float,
                        bc_u=(float(u0), float(u0)), bc_v=(float(v0), float(v0)))
 
 
+def _check_dtau(dtau):
+    if not DTAU_FLOOR <= dtau < math.inf:
+        raise NumericalError(f"time step {dtau} below the {DTAU_FLOOR} floor")
+
+
+def _advance(v, u, bc_u, alpha, gamma, dy, dtau):
+    """One step on raw arrays of positive volumes.
+
+    Returns (v_new, u_new, min(v_new), max(v_new)); raises
+    NumericalError if the solve fails or a volume turns non-positive.
+    """
+    rw = v ** -(1.0 + alpha)     # dissipative coefficient w, scaled below
+    rw *= dtau / dy ** 2
+    p = v ** -gamma
+    ubl, ubr = bc_u
+
+    u_new = np.empty(len(u))
+    u_new[0] = ubl
+    u_new[-1] = ubr
+    rhs = u_new[1:-1]
+    dp = p[1:] - p[:-1]
+    dp *= dtau / dy
+    np.subtract(u[1:-1], dp, out=rhs)
+    rhs[0] += rw[0] * ubl
+    rhs[-1] += rw[-1] * ubr
+    diag = rw[:-1] + 1.0
+    diag += rw[1:]
+    _, _, interior, info = dptsv(diag, np.negative(rw[1:-1]), rhs,
+                                 overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"tridiagonal solve failed: LAPACK info {info}")
+    u_new[1:-1] = interior       # same memory unless LAPACK copied rhs
+
+    v_new = u_new[1:] - u_new[:-1]
+    v_new *= dtau / dy
+    v_new += v
+    v_min = float(v_new.min())
+    v_max = float(v_new.max())
+    # a non-finite interior velocity reaches the neighbouring volumes,
+    # and min/max propagate NaN, so the extrema catch it
+    if not (math.isfinite(v_min) and math.isfinite(v_max)):
+        raise NumericalError("tridiagonal solve produced non-finite values")
+    if v_min <= 0.0:
+        raise NumericalError("volume became non-positive")
+    return v_new, u_new, v_min, v_max
+
+
 def step(state: SolverState, dtau: float) -> SolverState:
     """Advance one time step of size dtau.
 
     Velocity first: explicit pressure gradient plus implicit dissipation
-    through a tridiagonal solve (coefficient 1/v**(1+alpha) frozen at the
-    current volumes, boundary interfaces pinned).  Volumes then update
-    from the new interface velocities, which makes the mass budget
-    telescope exactly.  The caller is responsible for respecting the
-    acoustic CFL limit.
+    through a symmetric positive-definite tridiagonal solve by LAPACK's
+    dptsv (coefficient 1/v**(1+alpha) frozen at the current volumes,
+    boundary interfaces pinned).  Volumes then update from the new
+    interface velocities, which makes the mass budget telescope exactly.
+    The input volumes are validated here, not inside the kernel.  The
+    caller is responsible for respecting the acoustic CFL limit.
     """
-    if not np.isfinite(dtau) or dtau < DTAU_FLOOR:
-        raise NumericalError(f"time step {dtau} below the {DTAU_FLOOR} floor")
-    grid = state.grid
-    n = grid.n_cells
-    dy = grid.dy
-    v, u = state.v, state.u
-    ubl, ubr = state.bc_u
-
-    c = v ** (1.0 + state.alpha)
-    p = pressure(v, state.law)
-    r = dtau / dy ** 2
-
-    diag = 1.0 + r / c[:-1] + r / c[1:]
-    lower = -r / c[1:-1]
-    upper = -r / c[1:-1]
-    rhs = u[1:-1] - (dtau / dy) * (p[1:] - p[:-1])
-    rhs[0] += r / c[0] * ubl
-    rhs[-1] += r / c[-1] * ubr
-
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
+    _check_dtau(dtau)
+    v = _check_positive_volume(state.v)
+    tau = state.tau + dtau
     try:
-        interior = solve_banded((1, 1), ab, rhs)
-    except Exception as exc:  # LinAlgError or LAPACK failure
-        raise NumericalError(f"tridiagonal solve failed: {exc}") from exc
-    if not np.all(np.isfinite(interior)):
-        raise NumericalError("tridiagonal solve produced non-finite values")
-
-    u_new = np.concatenate(([ubl], interior, [ubr]))
-    v_new = v + (dtau / dy) * (u_new[1:] - u_new[:-1])
-    if np.any(v_new <= 0.0):
-        raise NumericalError(
-            f"volume became non-positive at tau={state.tau + dtau:.6g}")
-
-    return replace(state, v=_freeze(v_new), u=_freeze(u_new),
-                   tau=state.tau + dtau, step_count=state.step_count + 1)
+        v_new, u_new, _, _ = _advance(v, state.u, state.bc_u, state.alpha,
+                                      state.law.gamma, state.grid.dy, dtau)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc} at tau={tau:.6g}") from exc
+    return replace(state, v=_freeze(v_new), u=_freeze(u_new), tau=tau,
+                   step_count=state.step_count + 1)
 
 
 def step_flux_balance(before: SolverState, after: SolverState):
@@ -209,6 +243,27 @@ class RunRecord:
     v_max: float
 
 
+def _targets(tau0, tau_end, observer, observe_every, observe_at):
+    """Stop times after tau0, ending with tau_end.  Times that coincide
+    within the stepping tolerance, or with tau_end, give one stop."""
+    end_tol = tau_end - 1e-12 * max(1.0, tau_end)
+    times = []
+    if observe_at is not None:
+        times = sorted(observe_at)
+    elif observer is not None and observe_every is not None:
+        k = 1
+        while tau0 + k * observe_every < end_tol:
+            times.append(tau0 + k * observe_every)
+            k += 1
+    targets = []
+    for t in times:
+        if (tau0 < t < end_tol and not
+                (targets and t - targets[-1] <= 1e-12 * max(1.0, t))):
+            targets.append(t)
+    targets.append(tau_end)
+    return targets
+
+
 def run(state: SolverState, tau_end: float, observer=None,
         observe_every: float | None = None, cfl: float = 0.4,
         max_dtau: float | None = None,
@@ -220,9 +275,12 @@ def run(state: SolverState, tau_end: float, observer=None,
     convergence tests tie the step to dy**2 this way), and clipped so
     observation times and tau_end are hit exactly.  The observer, if
     given, receives the read-only state at each multiple of
-    observe_every and at tau_end; an interval longer than the run yields
-    exactly one call at the end.  observe_at replaces the uniform
-    schedule with explicit times.  Returns (final state, RunRecord).
+    observe_every after the start time and at tau_end; an interval
+    longer than the run yields exactly one call at the end.  observe_at
+    replaces the uniform schedule with explicit times; coinciding times
+    give one call.  The volumes are validated once on entry and the loop
+    runs on arrays, building a SolverState only where one is observed
+    and at tau_end.  Returns (final state, RunRecord).
     """
     if tau_end < state.tau - 1e-15:
         raise ValidationError("tau_end must not precede the current time")
@@ -232,43 +290,40 @@ def run(state: SolverState, tau_end: float, observer=None,
         raise ValidationError("observe_every must be positive")
     if max_dtau is not None and max_dtau <= 0.0:
         raise ValidationError("max_dtau must be positive")
+    v = _check_positive_volume(state.v)
 
-    record = RunRecord(observed_taus=[], n_steps=0,
-                       v_min=float(np.min(state.v)),
-                       v_max=float(np.max(state.v)))
+    v_low = float(np.min(v))
+    record = RunRecord(observed_taus=[], n_steps=0, v_min=v_low,
+                       v_max=float(np.max(v)))
     if tau_end <= state.tau + 1e-15:
         return state, record
 
-    targets = []
-    if observe_at is not None:
-        targets = [t for t in sorted(observe_at)
-                   if state.tau < t < tau_end - 1e-12 * max(1.0, tau_end)]
-    elif observer is not None and observe_every is not None:
-        k = 1
-        while k * observe_every < tau_end - 1e-12 * max(1.0, tau_end):
-            targets.append(state.tau + k * observe_every)
-            k += 1
-    targets.append(tau_end)
-
-    dy = state.grid.dy
-    t_idx = 0
-    while t_idx < len(targets):
-        target = targets[t_idx]
-        while state.tau < target - 1e-12 * max(1.0, target):
-            dt = cfl * dy / state.max_wave_speed()
+    targets = _targets(state.tau, tau_end, observer, observe_every,
+                       observe_at)
+    u, tau, bc_u = state.u, state.tau, state.bc_u
+    alpha, gamma, dy = state.alpha, state.law.gamma, state.grid.dy
+    first_step = state.step_count
+    for i, target in enumerate(targets, 1):
+        while tau < target - 1e-12 * max(1.0, target):
+            dt = cfl * dy / _wave_speed(v_low, gamma)
             if max_dtau is not None:
                 dt = min(dt, max_dtau)
-            dt = min(dt, target - state.tau)
+            dt = min(dt, target - tau)
             try:
-                state = step(state, dt)
+                _check_dtau(dt)
+                v, u, v_low, v_high = _advance(v, u, bc_u, alpha, gamma,
+                                               dy, dt)
             except NumericalError as exc:
                 raise NumericalError(
-                    f"run aborted at tau={state.tau:.6g}: {exc}") from exc
+                    f"run aborted at tau={tau:.6g}: {exc}") from exc
+            tau += dt
             record.n_steps += 1
-            record.v_min = min(record.v_min, float(np.min(state.v)))
-            record.v_max = max(record.v_max, float(np.max(state.v)))
-        if observer is not None:
-            observer(state)
-        record.observed_taus.append(state.tau)
-        t_idx += 1
+            record.v_min = min(record.v_min, v_low)
+            record.v_max = max(record.v_max, v_high)
+        if observer is not None or i == len(targets):
+            state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau,
+                            step_count=first_step + record.n_steps)
+            if observer is not None:
+                observer(state)
+        record.observed_taus.append(tau)
     return state, record

@@ -1,9 +1,42 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from viscoshock import (Grid1D, NumericalError, SolverState, ValidationError,
-                        init_constant, init_state, rescaled_profile_eval, run,
-                        step, step_flux_balance)
+                        d_pressure, init_constant, init_state,
+                        rescaled_profile_eval, run, step, step_flux_balance)
+
+
+def _perturbed_wave(profile, n_cells):
+    # traveling wave with a velocity bump and a volume ripple, so the
+    # implicit coefficients vary from cell to cell
+    grid = Grid1D(y_min=-65.0, y_max=55.0, n_cells=n_cells)
+    state = init_state(profile, grid)
+    z = (grid.interfaces() - 20.0) / 2.0
+    u = state.u + 5e-3 * z * np.exp(-z * z)
+    v = state.v * (1.0 + 1e-2 * np.sin(0.3 * grid.centers()))
+    return replace(state, v=v, u=u, bc_u=(float(u[0]), float(u[-1])))
+
+
+def _banded_reference_step(state, dtau):
+    # the velocity solve assembled as a general banded system
+    n, dy = state.grid.n_cells, state.grid.dy
+    v, u = state.v, state.u
+    ubl, ubr = state.bc_u
+    c = v ** (1.0 + state.alpha)
+    p = v ** -state.law.gamma
+    r = dtau / dy ** 2
+    rhs = u[1:-1] - (dtau / dy) * (p[1:] - p[:-1])
+    rhs[0] += r / c[0] * ubl
+    rhs[-1] += r / c[-1] * ubr
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = -r / c[1:-1]
+    ab[1, :] = 1.0 + r / c[:-1] + r / c[1:]
+    ab[2, :-1] = -r / c[1:-1]
+    u_new = np.concatenate(([ubl], solve_banded((1, 1), ab, rhs), [ubr]))
+    return v + (dtau / dy) * (u_new[1:] - u_new[:-1]), u_new
 
 
 def test_grid_validation():
@@ -80,8 +113,52 @@ def test_step_blowup_detected(law):
     squeezed = SolverState(grid=grid, v=state.v, u=u, tau=0.0, alpha=0.1,
                            law=law, bc_u=(float(u[0]), float(u[-1])),
                            bc_v=state.bc_v)
-    with pytest.raises(NumericalError, match="non-positive"):
+    with pytest.raises(NumericalError, match="non-positive at tau=0.05"):
         step(squeezed, 0.05)
+    # inside run the CFL step collapses before any volume crosses zero
+    with pytest.raises(NumericalError, match="run aborted at tau=.*floor"):
+        run(squeezed, 1.0)
+
+
+@pytest.mark.parametrize("n_cells", [400, 1600, 3200])
+def test_step_matches_banded_reference(reference_profile, n_cells):
+    state = _perturbed_wave(reference_profile, n_cells)
+    for dtau in (0.5 * state.grid.dy ** 2,
+                 0.4 * state.grid.dy / state.max_wave_speed()):
+        v_ref, u_ref = _banded_reference_step(state, dtau)
+        nxt = step(state, dtau)
+        assert np.max(np.abs(nxt.v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+        assert np.max(np.abs(nxt.u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+def test_step_and_run_reject_bad_volume(law, bad):
+    grid = Grid1D(y_min=0.0, y_max=1.0, n_cells=16)
+    state = init_constant(grid, 1.0, 0.0, 0.1, law)
+    v = np.array(state.v)
+    v[7] = bad
+    broken = replace(state, v=v)
+    with pytest.raises(ValidationError, match="specific volume"):
+        step(broken, 0.01)
+    with pytest.raises(ValidationError, match="specific volume"):
+        run(broken, 1.0)
+
+
+def test_step_rejects_non_finite_solution(law):
+    grid = Grid1D(y_min=0.0, y_max=1.0, n_cells=16)
+    state = init_constant(grid, 1.0, 0.0, 0.1, law)
+    u = np.array(state.u)
+    u[5] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        step(replace(state, u=u), 0.01)
+
+
+def test_max_wave_speed_matches_pointwise_maximum(reference_profile):
+    for n_cells in (400, 1600):
+        state = _perturbed_wave(reference_profile, n_cells)
+        for s in (state, step(state, 0.05)):
+            seed = np.sqrt(np.max(-d_pressure(s.v, s.law)))
+            assert s.max_wave_speed() == pytest.approx(seed, rel=1e-14)
 
 
 def test_step_rejects_tiny_dtau(shock, law):
@@ -122,6 +199,29 @@ def test_run_observe_at(law):
     run(state, 1.0, observer=lambda s: taus.append(s.tau),
         observe_at=[0.3, 0.7], cfl=0.4)
     assert taus == pytest.approx([0.3, 0.7, 1.0], abs=1e-9)
+
+
+def test_run_from_nonzero_start_stops_at_tau_end(law):
+    grid = Grid1D(y_min=-5.0, y_max=5.0, n_cells=64)
+    state = replace(init_constant(grid, 1.0, 0.0, 0.1, law), tau=5.0)
+    taus = []
+    final, record = run(state, 8.0, observer=lambda s: taus.append(s.tau),
+                        observe_every=1.0, cfl=0.4)
+    assert taus == pytest.approx([6.0, 7.0, 8.0], abs=1e-12)
+    assert record.observed_taus == taus
+    assert final.tau == pytest.approx(8.0, abs=1e-12)
+    assert final.step_count == record.n_steps
+
+
+@pytest.mark.parametrize("times", [[6.0, 6.0, 7.0],
+                                   [7.0, 6.0, 6.0 + 1e-13, 8.0 - 1e-13]])
+def test_run_observe_at_coinciding_times(law, times):
+    grid = Grid1D(y_min=-5.0, y_max=5.0, n_cells=64)
+    state = replace(init_constant(grid, 1.0, 0.0, 0.1, law), tau=5.0)
+    taus = []
+    run(state, 8.0, observer=lambda s: taus.append(s.tau), observe_at=times,
+        cfl=0.4)
+    assert taus == pytest.approx([6.0, 7.0, 8.0], abs=1e-12)
 
 
 def test_run_respects_max_dtau(law):
