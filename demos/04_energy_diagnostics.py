@@ -7,11 +7,13 @@ norm, time-accumulated dissipation, and the quadratic remainder of the
 linearised momentum balance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from viscoshock import (EnergyReport, Grid1D, PressureLaw, SolverState,
-                        build_shock, compute_profile, energy_snapshot,
-                        init_state, longtime_decay_check, run)
+from viscoshock import (EnergyReport, Grid1D, PressureLaw, build_shock,
+                        compute_profile, energy_snapshot, init_state,
+                        longtime_decay_check, run)
 
 law = PressureLaw(gamma=2.0)
 shock = build_shock(1.2, 1.0, 0.0, law)
@@ -25,12 +27,9 @@ def energy_run(amp):
         # antisymmetric wiggle: zero net mass and momentum, so nothing
         # is locked into a wave shift and everything can dissipate
         z = (grid.interfaces() - 25.0) / 2.0
-        u = np.array(state.u) + amp * np.sqrt(2 * np.e) * z * np.exp(-z * z)
+        u = state.u + amp * np.sqrt(2 * np.e) * z * np.exp(-z * z)
         u.setflags(write=False)
-        state = SolverState(grid=grid, v=state.v, u=u, tau=0.0,
-                            alpha=state.alpha, law=state.law,
-                            bc_u=(float(u[0]), float(u[-1])),
-                            bc_v=state.bc_v, shock=state.shock)
+        state = replace(state, u=u, bc_u=(float(u[0]), float(u[-1])))
     report = EnergyReport()
     energy_snapshot(state, profile, report)
     run(state, 10.0,

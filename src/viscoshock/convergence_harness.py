@@ -9,8 +9,7 @@ stretched-frame run sampled back onto the unscaled lattice.  A sweep fits
 the tail model error ~ C * exp(-c/alpha) and reports monotonicity.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,11 +171,10 @@ def full_error(shock: ShockData, alpha: float, law: PressureLaw,
         v_ref, u_ref = riemann_shock_eval(shock, xs, t)
         err = max(err, float(np.max(np.abs(v_num - v_ref)
                                     + np.abs(u_num - u_ref))))
-    window_ok = (record.v_min >= shock.v_plus / 4.0
-                 and record.v_max <= 2.0 * shock.v_plus)
     return FullErrorResult(error=err, capped=capped, n_cells=n_cells,
                            tau_end=tau_end, v_min=record.v_min,
-                           v_max=record.v_max, window_ok=window_ok)
+                           v_max=record.v_max,
+                           window_ok=record.volume_window_ok(shock.v_plus))
 
 
 @dataclass
@@ -193,7 +191,6 @@ class SweepResult:
     r_squared: float = float("nan")
     monotone_flag: bool = False
     window_ok: bool = True
-    extra: dict = field(default_factory=dict)
 
 
 def _fit_exponential(alphas, errors):
@@ -209,21 +206,17 @@ def _fit_exponential(alphas, errors):
 
 def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
                 omega: OmegaSpec, include_full: bool = True,
-                sizing: SolverSizing = SolverSizing(),
-                jobs: int = 1) -> SweepResult:
+                sizing: SolverSizing = SolverSizing()) -> SweepResult:
     """Run the error measurements over a strictly decreasing alpha list.
 
-    Entries run independently (optionally in a thread pool; the result
-    assembly is ordered by alpha so serial and concurrent sweeps agree
-    bitwise).  Per-entry failures are recorded and the sweep continues.
+    Entries run one after another and independently: per-entry failures
+    are recorded and the sweep continues.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 3:
         raise ValidationError("sweep needs at least 3 alpha values")
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])) or alphas[-1] <= 0:
         raise ValidationError("alphas must be strictly decreasing and positive")
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
 
     def task(a):
         e_p = profile_only_error(shock, a, law, omega, tol=sizing.profile_tol)
@@ -234,20 +227,11 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
 
     results = {}
     failures = {}
-    if jobs == 1:
-        for a in alphas:
-            try:
-                results[a] = task(a)
-            except Exception as exc:
-                failures[a] = f"{type(exc).__name__}: {exc}"
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {a: pool.submit(task, a) for a in alphas}
-        for a, fut in futures.items():
-            try:
-                results[a] = fut.result()
-            except Exception as exc:
-                failures[a] = f"{type(exc).__name__}: {exc}"
+    for a in alphas:
+        try:
+            results[a] = task(a)
+        except Exception as exc:
+            failures[a] = f"{type(exc).__name__}: {exc}"
 
     nan = float("nan")
     e_profile = [results[a][0] if a in results else nan for a in alphas]

@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .euler_waves import d_pressure, pressure
 from .lagrangian_solver import SolverState
-from .shock_profile import (ViscousProfile, rescaled_profile_deriv,
-                            rescaled_profile_eval)
+from .shock_profile import ViscousProfile
 
 __all__ = [
     "PerturbationFields",
@@ -67,15 +66,20 @@ def l2_sq(f: np.ndarray, dy: float) -> float:
     return float(np.sum(w * f * f))
 
 
+def _sobolev_sq(f, dy):
+    # ((|f|^2, |f'|^2, |f''|^2), f', f''): the squared L2 norms of a
+    # sampled function and of its finite-difference derivatives
+    if f.size < 5:
+        raise ValidationError("need at least 5 samples for Sobolev norms")
+    d1, d2 = diff1(f, dy), diff2(f, dy)
+    return (l2_sq(f, dy), l2_sq(d1, dy), l2_sq(d2, dy)), d1, d2
+
+
 def sobolev_triple(f: np.ndarray, dy: float):
     """(L2, H1, H2) norms of a sampled function, derivatives by
     finite differences.  Needs at least 5 samples."""
-    if f.size < 5:
-        raise ValidationError("need at least 5 samples for Sobolev norms")
-    a = l2_sq(f, dy)
-    b = a + l2_sq(diff1(f, dy), dy)
-    c = b + l2_sq(diff2(f, dy), dy)
-    return np.sqrt(a), np.sqrt(b), np.sqrt(c)
+    (a, b, c), _, _ = _sobolev_sq(f, dy)
+    return np.sqrt(a), np.sqrt(a + b), np.sqrt(a + b + c)
 
 
 @dataclass(frozen=True)
@@ -105,28 +109,47 @@ def _check_match(state: SolverState, profile: ViscousProfile):
         raise ValidationError("state and profile belong to different shocks")
 
 
-def perturbation(state: SolverState, profile: ViscousProfile) -> PerturbationFields:
-    """Deviation fields of a snapshot against the exact traveling wave."""
+def _against_wave(state, profile):
+    """Deviation fields and the wave data the remainder needs, from one
+    evaluation of the wave on the merged half-cell grid.
+
+    Interfaces take the even slots of that grid and centers the odd
+    ones, so every sample point is the one the separate grids give.
+    Returns (fields, V at the interfaces, dU/dy at the interfaces).
+    """
     _check_match(state, profile)
     grid = state.grid
+    shock = profile.shock
     yc, yi = grid.centers(), grid.interfaces()
-    v_ref, _ = rescaled_profile_eval(profile, yc, state.tau)
-    _, u_ref = rescaled_profile_eval(profile, yi, state.tau)
-    phi = state.v - v_ref
+    y = np.empty(yc.size + yi.size)
+    y[0::2] = yi
+    y[1::2] = yc
+    xi = profile.alpha * (y - shock.s * state.tau)
+    V = profile.eval_V(xi)
+    v_ref = V[0::2]
+    u_ref = shock.u_minus - shock.s * (v_ref - shock.v_minus)
+    du_ref = -shock.s * (profile.alpha * profile._slope(xi[0::2], v_ref))
+    phi = state.v - V[1::2]
     psi = state.u - u_ref
     dy = grid.dy
     phi_cum = np.concatenate(([0.0], np.cumsum(phi) * dy))
     psi_cum = np.concatenate(([0.0],
                               np.cumsum(0.5 * (psi[1:] + psi[:-1])) * dy))
-    return PerturbationFields(y_centers=yc, y_interfaces=yi, phi=phi,
-                              psi=psi, phi_cum=phi_cum, psi_cum=psi_cum,
-                              tau=state.tau, dy=dy)
+    fields = PerturbationFields(y_centers=yc, y_interfaces=yi, phi=phi,
+                                psi=psi, phi_cum=phi_cum, psi_cum=psi_cum,
+                                tau=state.tau, dy=dy)
+    return fields, v_ref, du_ref
 
 
-def sobolev_norms(fields: PerturbationFields, dy: float | None = None):
+def perturbation(state: SolverState, profile: ViscousProfile) -> PerturbationFields:
+    """Deviation fields of a snapshot against the exact traveling wave."""
+    return _against_wave(state, profile)[0]
+
+
+def sobolev_norms(fields: PerturbationFields):
     """(L2, H1, H2) norms of both antiderivatives: returns two triples."""
-    dy = fields.dy if dy is None else dy
-    return sobolev_triple(fields.phi_cum, dy), sobolev_triple(fields.psi_cum, dy)
+    return (sobolev_triple(fields.phi_cum, fields.dy),
+            sobolev_triple(fields.psi_cum, fields.dy))
 
 
 @dataclass(frozen=True)
@@ -152,23 +175,18 @@ class RemainderSample:
 def quadratic_remainder(state: SolverState,
                         profile: ViscousProfile) -> RemainderSample:
     """Evaluate the nonlinear remainder and its majorant pointwise."""
-    _check_match(state, profile)
-    grid = state.grid
-    yi = grid.interfaces()
-    dy = grid.dy
-    v_ref, u_ref = rescaled_profile_eval(profile, yi, state.tau)
-    _, du_ref = rescaled_profile_deriv(profile, yi, state.tau)
+    return _remainder(state, *_against_wave(state, profile))
 
+
+def _remainder(state, fields, v_ref, du_ref):
     # Volume deviation at the faces by averaging the center deviations,
     # so prepared data gives exact zeros rather than O(dy^2) residue.
-    v_ref_c, _ = rescaled_profile_eval(profile, grid.centers(), state.tau)
-    phi_c = state.v - v_ref_c
-    phi = np.empty(grid.n_cells + 1)
+    phi_c = fields.phi
+    phi = np.empty(phi_c.size + 1)
     phi[1:-1] = 0.5 * (phi_c[1:] + phi_c[:-1])
     phi[0], phi[-1] = phi_c[0], phi_c[-1]
     v_face = v_ref + phi
-    psi = state.u - u_ref
-    psi_y = diff1(psi, dy)
+    psi_y = diff1(fields.psi, fields.dy)
 
     a = 1.0 + state.alpha
     taylor = (pressure(v_face, state.law) - pressure(v_ref, state.law)
@@ -181,8 +199,9 @@ def quadratic_remainder(state: SolverState,
     mask = majorant > 0.0
     ratio_max = float(np.max(np.abs(values[mask]) / majorant[mask])) if np.any(mask) else 0.0
     margin = float(np.max(np.abs(values) - majorant))
-    return RemainderSample(y=yi, values=values, majorant=majorant,
-                           max_abs=max_abs, ratio_max=ratio_max, margin=margin)
+    return RemainderSample(y=fields.y_interfaces, values=values,
+                           majorant=majorant, max_abs=max_abs,
+                           ratio_max=ratio_max, margin=margin)
 
 
 @dataclass
@@ -221,23 +240,18 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     """
     if report.tau_series and state.tau < report.tau_series[-1]:
         raise ValidationError("snapshots must arrive in increasing tau")
-    fields = perturbation(state, profile)
+    fields, v_ref, du_ref = _against_wave(state, profile)
     dy = fields.dy
 
-    d1_phi = diff1(fields.phi_cum, dy)
-    d2_phi = diff2(fields.phi_cum, dy)
-    d1_psi = diff1(fields.psi_cum, dy)
-    d2_psi = diff2(fields.psi_cum, dy)
-    d3_psi = diff1(d2_psi, dy)
+    (phi0, phi1, phi2), d1_phi, _ = _sobolev_sq(fields.phi_cum, dy)
+    (psi0, psi1, psi2), d1_psi, d2_psi = _sobolev_sq(fields.psi_cum, dy)
+    l2 = phi0 + psi0
+    h1 = l2 + phi1 + psi1
+    h2 = h1 + phi2 + psi2
 
-    l2 = l2_sq(fields.phi_cum, dy) + l2_sq(fields.psi_cum, dy)
-    h1 = l2 + l2_sq(d1_phi, dy) + l2_sq(d1_psi, dy)
-    h2 = h1 + l2_sq(d2_phi, dy) + l2_sq(d2_psi, dy)
-
-    _, du_ref = rescaled_profile_deriv(profile, fields.y_interfaces, state.tau)
     w_weighted = float(np.sum(np.abs(du_ref) * fields.psi_cum ** 2) * dy)
-    w_phi = l2_sq(d1_phi, dy) + l2_sq(d2_phi, dy)
-    w_psi = l2_sq(d1_psi, dy) + l2_sq(d2_psi, dy) + l2_sq(d3_psi, dy)
+    w_phi = phi1 + phi2
+    w_psi = psi1 + psi2 + l2_sq(diff1(d2_psi, dy), dy)
 
     if report._last_integrands is None:
         acc_w = acc_p = acc_s = 0.0
@@ -249,11 +263,11 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
         acc_s = report.diss_psi[-1] + half * (s0 + w_psi)
     report._last_integrands = (state.tau, w_weighted, w_phi, w_psi)
 
-    grad_sq = l2_sq(d1_phi, dy) + l2_sq(d1_psi, dy)
-    grad2_sq = l2_sq(d2_phi, dy) + l2_sq(d2_psi, dy)
+    grad_sq = phi1 + psi1
+    grad2_sq = phi2 + psi2
     sup_grad = float(max(np.max(np.abs(d1_phi)), np.max(np.abs(d1_psi))))
 
-    rem = quadratic_remainder(state, profile)
+    rem = _remainder(state, fields, v_ref, du_ref)
 
     report.tau_series.append(state.tau)
     prev_peak = report.peak_h2_sq[-1] if report.peak_h2_sq else 0.0
@@ -273,14 +287,16 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     return report
 
 
-def longtime_decay_check(report: EnergyReport, tau_min: float,
-                         final_fraction: float = 0.1,
-                         n_windows: int = 4) -> str:
+_FINAL_FRACTION = 0.1
+_N_WINDOWS = 4
+
+
+def longtime_decay_check(report: EnergyReport, tau_min: float) -> str:
     """Verdict on gradient decay: 'pass', 'fail' or 'inconclusive'.
 
     Requires the series to span at least tau_min, the final squared
-    gradient norm to sit below final_fraction of its maximum, the
-    post-peak window means to decrease monotonically, and the certified
+    gradient norm to sit below a tenth of its maximum, the means over
+    four post-peak windows to decrease monotonically, and the certified
     pointwise bound sqrt(||grad|| * ||grad2||) to shrink accordingly.
     An identically zero series passes trivially.
     """
@@ -291,16 +307,16 @@ def longtime_decay_check(report: EnergyReport, tau_min: float,
     gmax = float(np.max(g))
     if gmax == 0.0:
         return "pass"
-    if g[-1] > final_fraction * gmax:
+    if g[-1] > _FINAL_FRACTION * gmax:
         return "fail"
     tail = g[int(np.argmax(g)):]
-    if tail.size >= 2 * n_windows:
-        means = [w.mean() for w in np.array_split(tail, n_windows)]
+    if tail.size >= 2 * _N_WINDOWS:
+        means = [w.mean() for w in np.array_split(tail, _N_WINDOWS)]
         if any(b > a * (1.0 + 1e-9) for a, b in zip(means, means[1:])):
             return "fail"
     certified = np.sqrt(np.asarray(report.grad_sq_series)
                         * np.asarray(report.grad2_sq_series))
     cmax = float(np.max(certified))
-    if cmax > 0.0 and certified[-1] > np.sqrt(final_fraction) * cmax:
+    if cmax > 0.0 and certified[-1] > np.sqrt(_FINAL_FRACTION) * cmax:
         return "fail"
     return "pass"

@@ -46,7 +46,8 @@ class PressureLaw:
 
 def _check_positive_volume(v):
     v = np.asarray(v, dtype=float)
-    if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
+    # min and max propagate NaN, which fails both comparisons
+    if v.size and not (v.min() > 0.0 and v.max() < np.inf):
         raise ValidationError("specific volume must be positive and finite")
     return v
 

@@ -78,8 +78,7 @@ class Grid1D:
 class SolverState:
     """Immutable snapshot of the discrete fields at one instant.
 
-    bc_u holds the pinned boundary velocities, bc_v the reference end
-    volumes used for the positivity window and reporting.
+    bc_u holds the pinned boundary velocities.
     """
 
     grid: Grid1D
@@ -90,7 +89,6 @@ class SolverState:
     law: PressureLaw
     step_count: int = 0
     bc_u: tuple = (0.0, 0.0)
-    bc_v: tuple = (1.0, 1.0)
     shock: ShockData | None = field(default=None, repr=False)
 
     def max_wave_speed(self) -> float:
@@ -127,8 +125,7 @@ def init_state(profile: ViscousProfile, grid: Grid1D) -> SolverState:
             "grid too narrow: wave tails exceed 1e-8*delta at the boundary")
     return SolverState(grid=grid, v=_freeze(v), u=_freeze(u), tau=0.0,
                        alpha=profile.alpha, law=profile.law, step_count=0,
-                       bc_u=(float(u[0]), float(u[-1])),
-                       bc_v=(shock.v_minus, shock.v_plus), shock=shock)
+                       bc_u=(float(u[0]), float(u[-1])), shock=shock)
 
 
 def init_constant(grid: Grid1D, v0: float, u0: float, alpha: float,
@@ -140,7 +137,7 @@ def init_constant(grid: Grid1D, v0: float, u0: float, alpha: float,
     u = np.full(grid.n_cells + 1, float(u0))
     return SolverState(grid=grid, v=_freeze(v), u=_freeze(u), tau=0.0,
                        alpha=alpha, law=law, step_count=0,
-                       bc_u=(float(u0), float(u0)), bc_v=(float(v0), float(v0)))
+                       bc_u=(float(u0), float(u0)))
 
 
 def _check_dtau(dtau):
@@ -241,6 +238,10 @@ class RunRecord:
     n_steps: int
     v_min: float
     v_max: float
+
+    def volume_window_ok(self, v_plus: float) -> bool:
+        """Whether every volume stayed within [v_plus/4, 2*v_plus]."""
+        return self.v_min >= v_plus / 4.0 and self.v_max <= 2.0 * v_plus
 
 
 def _targets(tau0, tau_end, observer, observe_every, observe_at):

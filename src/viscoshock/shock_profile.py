@@ -102,7 +102,6 @@ class ViscousProfile:
 
     shock: ShockData
     alpha: float
-    gamma: float
     xi_grid: np.ndarray
     V: np.ndarray
     U: np.ndarray
@@ -135,17 +134,15 @@ class ViscousProfile:
             self.lambda_minus * (xi[left] - lo))
         return float(out[0]) if scalar else out
 
-    def eval_U(self, xi):
-        """Velocity via the integrated mass equation."""
-        V = self.eval_V(xi)
-        return self.shock.u_minus - self.shock.s * (V - self.shock.v_minus)
-
     def eval_dV(self, xi):
         """Slope dV/dxi, using the tail rates beyond the cutoff points."""
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        V = np.atleast_1d(self.eval_V(xi))
+        out = self._slope(np.atleast_1d(xi), np.atleast_1d(self.eval_V(xi)))
+        return float(out[0]) if xi.ndim == 0 else out
+
+    def _slope(self, xi, V):
+        # dV/dxi from V = eval_V(xi), so a caller that already holds the
+        # volumes does not evaluate the wave a second time
         out = np.empty_like(V)
         core = (xi >= self.xi_cut_left) & (xi <= self.xi_cut_right)
         out[core] = _rhs_unchecked(V[core], self.shock, self.alpha, self.law)
@@ -153,7 +150,7 @@ class ViscousProfile:
         left = xi < self.xi_cut_left
         out[right] = self.lambda_plus * (V[right] - self.shock.v_plus)
         out[left] = self.lambda_minus * (V[left] - self.shock.v_minus)
-        return float(out[0]) if scalar else out
+        return out
 
     def eval(self, xi):
         V = self.eval_V(xi)
@@ -273,7 +270,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     for arr in (xi, V, U):
         arr.setflags(write=False)
     return ViscousProfile(
-        shock=shock, alpha=alpha, gamma=law.gamma, xi_grid=xi, V=V, U=U,
+        shock=shock, alpha=alpha, xi_grid=xi, V=V, U=U,
         lambda_minus=lam_m, lambda_plus=lam_p, normalization=v0,
         eps_tail=eps_tail, tol=tol,
         xi_cut_left=max(cut_l, -span), xi_cut_right=min(cut_r, span),

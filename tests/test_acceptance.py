@@ -7,6 +7,7 @@ lines alongside the pytest output.
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,12 +189,9 @@ def _energy_run(profile, n_cells, tau_end, amp):
     state = vs.init_state(profile, grid)
     if amp > 0.0:
         z = (grid.interfaces() - 25.0) / 2.0
-        u = np.array(state.u) + amp * np.sqrt(2 * np.e) * z * np.exp(-z * z)
+        u = state.u + amp * np.sqrt(2 * np.e) * z * np.exp(-z * z)
         u.setflags(write=False)
-        state = vs.SolverState(grid=grid, v=state.v, u=u, tau=0.0,
-                               alpha=state.alpha, law=state.law,
-                               bc_u=(float(u[0]), float(u[-1])),
-                               bc_v=state.bc_v, shock=state.shock)
+        state = replace(state, u=u, bc_u=(float(u[0]), float(u[-1])))
     report = vs.EnergyReport()
     vs.energy_snapshot(state, profile, report)
     vs.run(state, tau_end,

@@ -19,16 +19,22 @@ def test_parse_minimal_config():
 def test_parse_comments_and_lists():
     cfg = parse_config("# full line comment\n"
                        "alphas = 0.4, 0.2, 0.1  # trailing comment\n"
-                       "jobs = 2\n"
-                       "deterministic = true\n")
+                       "n_cells = 800\n"
+                       "inject_amplitude = 1e-4\n")
     assert cfg.alphas == (0.4, 0.2, 0.1)
-    assert cfg.jobs == 2
-    assert cfg.deterministic is True
+    assert cfg.n_cells == 800
+    assert cfg.inject_amplitude == 1e-4
 
 
 def test_unknown_key_is_hard_error():
     with pytest.raises(ValidationError, match="unknown key: gamm"):
         parse_config("gamm = 2.0\n")
+
+
+def test_removed_keys_are_unknown():
+    for line in ("jobs = 2", "deterministic = true"):
+        with pytest.raises(ValidationError, match="unknown key"):
+            parse_config(MINIMAL + line + "\n")
 
 
 def test_shock_ordering_cited():

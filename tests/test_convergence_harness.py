@@ -92,16 +92,6 @@ def test_sweep_requires_three_decreasing(shock, law, omega):
         alpha_sweep(shock, law, [0.1, 0.2, 0.4], omega)
 
 
-def test_sweep_concurrent_matches_serial(shock, law, omega):
-    alphas = [0.4, 0.2, 0.1]
-    serial = alpha_sweep(shock, law, alphas, omega, include_full=False, jobs=1)
-    threaded = alpha_sweep(shock, law, alphas, omega, include_full=False,
-                           jobs=3)
-    assert serial.e_profile == threaded.e_profile
-    assert serial.c_fit == threaded.c_fit
-    assert serial.r_squared == threaded.r_squared
-
-
 def test_full_error_against_profile_error(shock, law, omega):
     e_prof = profile_only_error(shock, 0.2, law, omega)
     res = full_error(shock, 0.2, law, omega)

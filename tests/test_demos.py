@@ -1,0 +1,19 @@
+"""Every script under demos/ runs to completion in-process."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)      # demos save plots when they can
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

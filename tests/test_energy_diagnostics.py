@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from viscoshock import (EnergyReport, Grid1D, SolverState, ValidationError,
+from viscoshock import (EnergyReport, Grid1D, ValidationError, ViscousProfile,
                         energy_snapshot, init_state, longtime_decay_check,
-                        perturbation, quadratic_remainder, run,
-                        sobolev_norms, sobolev_triple)
+                        perturbation, quadratic_remainder,
+                        rescaled_profile_eval, run, sobolev_norms,
+                        sobolev_triple)
 from viscoshock.energy_diagnostics import diff1, l2_sq
 
 
@@ -12,17 +15,14 @@ def _bumped(state, profile, amp, center=25.0, width=2.0, bump_v=False):
     grid = state.grid
     yi = grid.interfaces()
     z = (yi - center) / width
-    u = np.array(state.u) + amp * np.sqrt(2 * np.e) * z * np.exp(-z * z)
-    v = np.array(state.v)
+    u = state.u + amp * np.sqrt(2 * np.e) * z * np.exp(-z * z)
+    u.setflags(write=False)
+    v = state.v
     if bump_v:
         zc = (grid.centers() - center) / width
         v = v + amp * np.exp(-zc * zc)
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return SolverState(grid=grid, v=v, u=u, tau=state.tau,
-                       alpha=state.alpha, law=state.law,
-                       bc_u=(float(u[0]), float(u[-1])),
-                       bc_v=state.bc_v, shock=state.shock)
+        v.setflags(write=False)
+    return replace(state, v=v, u=u, bc_u=(float(u[0]), float(u[-1])))
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +193,41 @@ def test_decay_check_verdicts():
     assert longtime_decay_check(_synthetic_report(taus, zero), 5.0) == "pass"
     short = _synthetic_report(taus[:5], decaying[:5])
     assert longtime_decay_check(short, 5.0) == "inconclusive"
+
+
+def test_snapshot_shares_one_wave_evaluation(prepared, reference_profile,
+                                             monkeypatch):
+    bumped = _bumped(prepared, reference_profile, 1e-3, bump_v=True)
+    state, _ = run(bumped, 0.5, cfl=0.4)
+    fields = perturbation(state, reference_profile)
+    # the merged half-cell grid samples the wave exactly where the
+    # separate center and interface grids do
+    v_ref, _ = rescaled_profile_eval(reference_profile,
+                                     state.grid.centers(), state.tau)
+    _, u_ref = rescaled_profile_eval(reference_profile,
+                                     state.grid.interfaces(), state.tau)
+    assert np.array_equal(fields.phi, state.v - v_ref)
+    assert np.array_equal(fields.psi, state.u - u_ref)
+    rem = quadratic_remainder(state, reference_profile)
+    phi_n, psi_n = sobolev_norms(fields)
+
+    calls = []
+    eval_V = ViscousProfile.eval_V
+
+    def counted(self, xi):
+        calls.append(np.size(xi))
+        return eval_V(self, xi)
+
+    monkeypatch.setattr(ViscousProfile, "eval_V", counted)
+    report = energy_snapshot(state, reference_profile, EnergyReport())
+    assert calls == [2 * state.grid.n_cells + 1]
+    assert report.remainder_max == [rem.max_abs]
+    assert report.remainder_margin == [rem.margin]
+    assert report.remainder_ratio == [rem.ratio_max]
+    for k, series in enumerate((report.l2_sq_series, report.h1_sq_series,
+                                report.h2_sq_series)):
+        assert series[0] == pytest.approx(phi_n[k] ** 2 + psi_n[k] ** 2,
+                                          rel=1e-14, abs=0.0)
 
 
 def test_sobolev_norms_of_fields(prepared, reference_profile):

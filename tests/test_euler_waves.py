@@ -21,11 +21,15 @@ def test_pressure_sign_conditions(law):
 
 
 def test_pressure_domain_errors(law):
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValidationError):
+    for bad in (0.0, -0.5, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="positive and finite"):
             pressure(bad, law)
         with pytest.raises(ValidationError):
             d_pressure(bad, law)
+        # one bad entry anywhere in an array is caught
+        with pytest.raises(ValidationError, match="positive and finite"):
+            pressure(np.array([1.0, bad, 2.0]), law)
+    assert pressure(np.array([]), law).shape == (0,)
 
 
 def test_gamma_validation():

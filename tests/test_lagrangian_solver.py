@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from viscoshock import (Grid1D, NumericalError, SolverState, ValidationError,
+from viscoshock import (Grid1D, NumericalError, RunRecord, ValidationError,
                         d_pressure, init_constant, init_state,
                         rescaled_profile_eval, run, step, step_flux_balance)
 
@@ -107,12 +107,9 @@ def test_step_blowup_detected(law):
     # strong uniform compression drives the volume negative in one step
     grid = Grid1D(y_min=0.0, y_max=1.0, n_cells=16)
     state = init_constant(grid, 0.1, 0.0, 0.1, law)
-    u = np.array(state.u)
-    u[:] = -10.0 * grid.interfaces()
+    u = -10.0 * grid.interfaces()
     u.setflags(write=False)
-    squeezed = SolverState(grid=grid, v=state.v, u=u, tau=0.0, alpha=0.1,
-                           law=law, bc_u=(float(u[0]), float(u[-1])),
-                           bc_v=state.bc_v)
+    squeezed = replace(state, u=u, bc_u=(float(u[0]), float(u[-1])))
     with pytest.raises(NumericalError, match="non-positive at tau=0.05"):
         step(squeezed, 0.05)
     # inside run the CFL step collapses before any volume crosses zero
@@ -265,6 +262,11 @@ def test_positivity_window(reference_profile, shock):
     _, record = run(state, 4.0, cfl=0.4)
     assert record.v_min >= shock.v_plus / 4.0
     assert record.v_max <= 2.0 * shock.v_plus
+    assert record.volume_window_ok(shock.v_plus)
+    # the window [v_plus/4, 2*v_plus] is closed at both ends
+    assert RunRecord([], 0, 0.25, 2.0).volume_window_ok(1.0)
+    assert not RunRecord([], 0, 0.2499, 1.0).volume_window_ok(1.0)
+    assert not RunRecord([], 0, 1.0, 2.0001).volume_window_ok(1.0)
 
 
 def test_perturbation_gradient_decays(reference_profile):
@@ -274,12 +276,9 @@ def test_perturbation_gradient_decays(reference_profile):
     state = init_state(reference_profile, grid)
     yi = grid.interfaces()
     z = (yi - 20.0) / 2.0
-    u = np.array(state.u) + 2e-4 * np.sqrt(2 * np.e) * z * np.exp(-z * z)
+    u = state.u + 2e-4 * np.sqrt(2 * np.e) * z * np.exp(-z * z)
     u.setflags(write=False)
-    state = SolverState(grid=grid, v=state.v, u=u, tau=0.0,
-                        alpha=state.alpha, law=state.law,
-                        bc_u=(float(u[0]), float(u[-1])),
-                        bc_v=state.bc_v, shock=state.shock)
+    state = replace(state, u=u, bc_u=(float(u[0]), float(u[-1])))
 
     def psi_grad_sup(s):
         _, u_ref = rescaled_profile_eval(reference_profile, yi, s.tau)
