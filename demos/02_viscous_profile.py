@@ -23,7 +23,7 @@ for alpha in (0.4, 0.2, 0.1):
 prof = compute_profile(shock, 0.1, law)
 print("\nnormalization V(0) =", prof.normalization)
 print("monotone:", bool(np.all(np.diff(prof.V) < 0)))
-print("grid half-width:", prof.xi_grid[-1])
+print("grid ends:", prof.xi_grid[0], prof.xi_grid[-1])
 
 try:
     import matplotlib

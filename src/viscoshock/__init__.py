@@ -17,9 +17,8 @@ from .lagrangian_solver import (Grid1D, RunRecord, SolverState, init_constant,
                                 init_state, run, step, step_flux_balance)
 from .shock_profile import (ProfilePropertyReport, ViscousProfile,
                             compute_profile, profile_residual, reduced_rhs,
-                            rescaled_profile_deriv, rescaled_profile_eval,
-                            residual_on_samples, tail_rates,
-                            verify_profile_properties)
+                            rescaled_profile_eval, residual_on_samples,
+                            tail_rates, verify_profile_properties)
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "build_shock", "rh_residuals", "check_lax", "riemann_shock_eval",
     "ViscousProfile", "ProfilePropertyReport",
     "reduced_rhs", "tail_rates", "compute_profile", "profile_residual",
-    "residual_on_samples", "rescaled_profile_eval", "rescaled_profile_deriv",
+    "residual_on_samples", "rescaled_profile_eval",
     "verify_profile_properties",
     "Grid1D", "SolverState", "RunRecord",
     "init_state", "init_constant", "step", "run", "step_flux_balance",

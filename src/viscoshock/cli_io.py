@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -187,17 +187,30 @@ def emit_json(summary, path):
 # ---------------------------------------------------------------------------
 # shared builders
 
-def _law_and_shock(gamma, v_minus, v_plus, u_minus):
-    law = ew.PressureLaw(gamma=gamma)
-    shock = ew.build_shock(v_minus, v_plus, u_minus, law)
+def _law_and_shock(x):
+    # x is a RunConfig or parsed arguments with the same field names
+    law = ew.PressureLaw(gamma=x.gamma)
+    shock = ew.build_shock(x.v_minus, x.v_plus, x.u_minus, law)
     return law, shock
 
 
-def _profile_from_config(cfg: RunConfig, law, shock, n=None, tol=None):
-    span = None if cfg.span == 0.0 else cfg.span
-    return sp.compute_profile(shock, cfg.alpha, law,
-                              tol=tol if tol is not None else cfg.tol,
-                              span=span, n=n if n is not None else cfg.n)
+def _profile(x):
+    # x as above; a span of 0 asks for the automatic grid
+    law, shock = _law_and_shock(x)
+    return sp.compute_profile(shock, x.alpha, law, tol=x.tol,
+                              span=x.span or None, n=x.n)
+
+
+def _shock_payload(law, shock):
+    # in the order the shock subcommand prints it
+    r1, r2 = ew.rh_residuals(shock, law)
+    lax = ew.check_lax(shock, law)
+    return {
+        "s": shock.s, "u_plus": shock.u_plus, "delta": shock.delta,
+        "lambda1_minus": lax.lambda_minus, "lambda1_plus": lax.lambda_plus,
+        "rh_residual_mass": r1, "rh_residual_momentum": r2,
+        "lax_satisfied": lax.satisfied,
+    }
 
 
 def _initial_state(cfg: RunConfig, profile):
@@ -222,32 +235,18 @@ def _max_dtau(cfg: RunConfig, grid):
 # subcommands
 
 def cmd_shock(args) -> int:
-    law, shock = _law_and_shock(args.gamma, args.v_minus, args.v_plus,
-                                args.u_minus)
-    r1, r2 = ew.rh_residuals(shock, law)
-    lax = ew.check_lax(shock, law)
-    payload = {
-        "s": shock.s, "u_plus": shock.u_plus, "delta": shock.delta,
-        "lambda1_minus": lax.lambda_minus, "lambda1_plus": lax.lambda_plus,
-        "rh_residual_mass": r1, "rh_residual_momentum": r2,
-        "lax_satisfied": lax.satisfied,
-    }
+    payload = _shock_payload(*_law_and_shock(args))
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for key in ("s", "u_plus", "delta", "lambda1_minus", "lambda1_plus",
-                    "rh_residual_mass", "rh_residual_momentum"):
-            print(f"{key:22s} {_fmt(payload[key])}")
-        print(f"{'lax_satisfied':22s} {_fmt(payload['lax_satisfied'])}")
+        for key, value in payload.items():
+            print(f"{key:22s} {_fmt(value)}")
     return 0
 
 
 def cmd_profile(args) -> int:
-    law, shock = _law_and_shock(args.gamma, args.v_minus, args.v_plus,
-                                args.u_minus)
-    span = None if args.span == 0.0 else args.span
-    profile = sp.compute_profile(shock, args.alpha, law, tol=args.tol,
-                                 span=span, n=args.n)
+    profile = _profile(args)
+    shock = profile.shock
     residual = sp.profile_residual(profile)
     report = sp.verify_profile_properties(profile, h_probe=0.0)
     dv = profile.eval_dV(profile.xi_grid)
@@ -258,25 +257,13 @@ def cmd_profile(args) -> int:
         else Path(str(out) + ".json")
     emit_json({
         "s": shock.s, "delta": shock.delta, "u_plus": shock.u_plus,
-        "alpha": profile.alpha, "gamma": law.gamma,
+        "alpha": profile.alpha, "gamma": profile.law.gamma,
         "lambda_minus": profile.lambda_minus,
         "lambda_plus": profile.lambda_plus,
         "normalization": profile.normalization,
         "residual": residual,
         "span_warning": profile.span_warning,
-        "properties": {
-            "bounds_ok": report.bounds_ok,
-            "monotone_ok": report.monotone_ok,
-            "du_negative_ok": report.du_negative_ok,
-            "fitted_rate_left": report.fitted_rate_left,
-            "fitted_rate_right": report.fitted_rate_right,
-            "rate_rel_err_left": report.rate_rel_err_left,
-            "rate_rel_err_right": report.rate_rel_err_right,
-            "rates_ok": report.rates_ok,
-            "sup_d1": report.sup_d1, "sup_d2": report.sup_d2,
-            "scaled_d1": report.scaled_d1, "scaled_d2": report.scaled_d2,
-            "all_ok": report.all_ok,
-        },
+        "properties": asdict(report),
     }, sidecar)
     print(f"wrote {out} and {sidecar}")
     return 0
@@ -284,9 +271,7 @@ def cmd_profile(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    law, shock = _law_and_shock(cfg.gamma, cfg.v_minus, cfg.v_plus,
-                                cfg.u_minus)
-    profile = _profile_from_config(cfg, law, shock)
+    profile = _profile(cfg)
     state = _initial_state(cfg, profile)
     grid = state.grid
     out_dir = Path(args.out)
@@ -317,7 +302,8 @@ def cmd_solve(args) -> int:
         "final_sup_dv": float(np.max(np.abs(dev.phi))),
         "final_sup_du": float(np.max(np.abs(dev.psi))),
         "v_min": record.v_min, "v_max": record.v_max,
-        "positivity_window_ok": record.volume_window_ok(shock.v_plus),
+        "positivity_window_ok": record.volume_window_ok(
+            profile.shock.v_plus),
     }, out_dir / "summary.json")
     print(f"wrote {len(observations)} observations to {out_dir}")
     return 0
@@ -338,9 +324,7 @@ def _energy_rows(report: ed.EnergyReport):
 
 def cmd_energy(args) -> int:
     cfg = load_config(args.config)
-    law, shock = _law_and_shock(cfg.gamma, cfg.v_minus, cfg.v_plus,
-                                cfg.u_minus)
-    profile = _profile_from_config(cfg, law, shock)
+    profile = _profile(cfg)
     state = _initial_state(cfg, profile)
     report = ed.EnergyReport()
     ed.energy_snapshot(state, profile, report)
@@ -355,8 +339,7 @@ def cmd_energy(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = load_config(args.config)
-    law, shock = _law_and_shock(cfg.gamma, cfg.v_minus, cfg.v_plus,
-                                cfg.u_minus)
+    law, shock = _law_and_shock(cfg)
     omega = ch.OmegaSpec(h=cfg.h, t_final=cfg.t_final,
                          x_samples=cfg.x_samples, t_samples=cfg.t_samples)
     sizing = ch.SolverSizing(cells_per_width=cfg.cells_per_width,
@@ -395,16 +378,14 @@ def cmd_selftest(args) -> int:
         checks.append((name, bool(ok)))
         print(f"[{'ok' if ok else 'FAIL'}] {name}")
 
-    law, shock = _law_and_shock(2.0, 1.2, 1.0, 0.0)
-    r1, r2 = ew.rh_residuals(shock, law)
-    lax = ew.check_lax(shock, law)
-    check("jump relations close", abs(r1) <= 1e-12 and abs(r2) <= 1e-12)
-    check("admissibility", lax.satisfied)
-    emit_json({"s": shock.s, "u_plus": shock.u_plus, "delta": shock.delta,
-               "rh_residual_mass": r1, "rh_residual_momentum": r2,
-               "lambda1_minus": lax.lambda_minus,
-               "lambda1_plus": lax.lambda_plus,
-               "lax_satisfied": lax.satisfied}, out_dir / "shock.json")
+    law, shock = _law_and_shock(
+        RunConfig(gamma=2.0, v_minus=1.2, v_plus=1.0, u_minus=0.0))
+    payload = _shock_payload(law, shock)
+    check("jump relations close",
+          abs(payload["rh_residual_mass"]) <= 1e-12
+          and abs(payload["rh_residual_momentum"]) <= 1e-12)
+    check("admissibility", payload["lax_satisfied"])
+    emit_json(payload, out_dir / "shock.json")
 
     profile = sp.compute_profile(shock, 0.1, law, tol=1e-10, n=2001)
     residual = sp.profile_residual(profile)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .euler_waves import d_pressure, pressure
-from .lagrangian_solver import SolverState
-from .shock_profile import ViscousProfile
+from .lagrangian_solver import SolverState, _staggered_wave
+from .shock_profile import ViscousProfile, _first_integral
 
 __all__ = [
     "PerturbationFields",
@@ -113,29 +113,21 @@ def _against_wave(state, profile):
     """Deviation fields and the wave data the remainder needs, from one
     evaluation of the wave on the merged half-cell grid.
 
-    Interfaces take the even slots of that grid and centers the odd
-    ones, so every sample point is the one the separate grids give.
     Returns (fields, V at the interfaces, dU/dy at the interfaces).
     """
     _check_match(state, profile)
     grid = state.grid
     shock = profile.shock
-    yc, yi = grid.centers(), grid.interfaces()
-    y = np.empty(yc.size + yi.size)
-    y[0::2] = yi
-    y[1::2] = yc
-    xi = profile.alpha * (y - shock.s * state.tau)
-    V = profile.eval_V(xi)
-    v_ref = V[0::2]
-    u_ref = shock.u_minus - shock.s * (v_ref - shock.v_minus)
-    du_ref = -shock.s * (profile.alpha * profile._slope(xi[0::2], v_ref))
-    phi = state.v - V[1::2]
-    psi = state.u - u_ref
+    xi_face, v_ref, v_center = _staggered_wave(profile, grid, state.tau)
+    du_ref = -shock.s * (profile.alpha * profile._slope(xi_face, v_ref))
+    phi = state.v - v_center
+    psi = state.u - _first_integral(shock, v_ref)
     dy = grid.dy
     phi_cum = np.concatenate(([0.0], np.cumsum(phi) * dy))
     psi_cum = np.concatenate(([0.0],
                               np.cumsum(0.5 * (psi[1:] + psi[:-1])) * dy))
-    fields = PerturbationFields(y_centers=yc, y_interfaces=yi, phi=phi,
+    fields = PerturbationFields(y_centers=grid.centers(),
+                                y_interfaces=grid.interfaces(), phi=phi,
                                 psi=psi, phi_cum=phi_cum, psi_cum=psi_cum,
                                 tau=state.tau, dy=dy)
     return fields, v_ref, du_ref

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dptsv
 from .errors import NumericalError, ValidationError
 from .euler_waves import (PressureLaw, ShockData, _check_positive_volume,
                           pressure)
-from .shock_profile import ViscousProfile, rescaled_profile_eval
+from .shock_profile import ViscousProfile, _first_integral, _phase
 
 __all__ = [
     "Grid1D",
@@ -108,6 +108,21 @@ def _freeze(arr):
     return arr
 
 
+def _staggered_wave(profile: ViscousProfile, grid: Grid1D, tau: float):
+    """The wave at time tau from one evaluation on the merged half-cell
+    grid: interfaces take the even slots and centers the odd ones, so
+    every sample point is the one the separate grids give.
+
+    Returns (xi at the interfaces, V at the interfaces, V at the centers).
+    """
+    y = np.empty(2 * grid.n_cells + 1)
+    y[0::2] = grid.interfaces()
+    y[1::2] = grid.centers()
+    xi = _phase(profile, y, tau)
+    V = profile.eval_V(xi)
+    return xi[0::2], V[0::2], V[1::2]
+
+
 def init_state(profile: ViscousProfile, grid: Grid1D) -> SolverState:
     """Sample the traveling wave at tau = 0 as initial data.
 
@@ -115,14 +130,13 @@ def init_state(profile: ViscousProfile, grid: Grid1D) -> SolverState:
     values must sit within 1e-8 * delta of the far-field states.
     """
     shock = profile.shock
-    v, _ = rescaled_profile_eval(profile, grid.centers(), 0.0)
-    _, u = rescaled_profile_eval(profile, grid.interfaces(), 0.0)
-    vl, _ = rescaled_profile_eval(profile, grid.y_min, 0.0)
-    vr, _ = rescaled_profile_eval(profile, grid.y_max, 0.0)
+    _, v_face, v = _staggered_wave(profile, grid, 0.0)
     tail_tol = 1e-8 * shock.delta
-    if abs(vl - shock.v_minus) >= tail_tol or abs(vr - shock.v_plus) >= tail_tol:
+    if (abs(v_face[0] - shock.v_minus) >= tail_tol
+            or abs(v_face[-1] - shock.v_plus) >= tail_tol):
         raise ValidationError(
             "grid too narrow: wave tails exceed 1e-8*delta at the boundary")
+    u = _first_integral(shock, v_face)
     return SolverState(grid=grid, v=_freeze(v), u=_freeze(u), tau=0.0,
                        alpha=profile.alpha, law=profile.law, step_count=0,
                        bc_u=(float(u[0]), float(u[-1])), shock=shock)

@@ -20,6 +20,7 @@ rates
     lambda_pm = (s**2 + p'(v_pm)) * v_pm**(1+alpha) / (|s|*alpha).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,16 +39,16 @@ __all__ = [
     "profile_residual",
     "residual_on_samples",
     "rescaled_profile_eval",
-    "rescaled_profile_deriv",
     "verify_profile_properties",
 ]
 
 
 def _chord_gap(V, shock, law):
     # g(V): difference between the chord through the end states and p,
-    # written so both end states are exact roots.
+    # written so both end states are exact roots.  The raw power law:
+    # callers keep V inside [v_plus, v_minus].
     return (shock.s ** 2 * (V - shock.v_minus)
-            + pressure(V, law) - pressure(shock.v_minus, law))
+            + V ** -law.gamma - shock.v_minus ** -law.gamma)
 
 
 def reduced_rhs(V, shock: ShockData, alpha: float, law: PressureLaw):
@@ -66,7 +67,6 @@ def reduced_rhs(V, shock: ShockData, alpha: float, law: PressureLaw):
 
 
 def _rhs_unchecked(V, shock, alpha, law):
-    V = np.asarray(V, dtype=float)
     return (_chord_gap(V, shock, law) * V ** (1.0 + alpha)
             / (alpha * abs(shock.s)))
 
@@ -89,15 +89,45 @@ def tail_rates(shock: ShockData, alpha: float, law: PressureLaw):
     return float(lam_m), float(lam_p)
 
 
+def _first_integral(shock, V):
+    # velocity from the integrated mass equation
+    return shock.u_minus - shock.s * (V - shock.v_minus)
+
+
+def _beyond(xi, tails):
+    # the two switch points: each cutoff belongs to its tail
+    return xi <= tails[0][0], xi >= tails[1][0]
+
+
+def _join(xi, core, shock, tails):
+    """The wave at the points xi: core(xi) strictly between the two
+    cutoffs, and on or beyond each of them the exact linearised tail
+    through the outermost ODE sample there.
+
+    tails holds (xi_cut, V at xi_cut, decay rate) for the left and the
+    right side.
+    """
+    left, right = _beyond(xi, tails)
+    inside = ~(left | right)
+    out = np.empty_like(xi)
+    out[inside] = core(xi[inside])
+    for mask, (cut, v_cut, rate), end in ((left, tails[0], shock.v_minus),
+                                          (right, tails[1], shock.v_plus)):
+        out[mask] = end + (v_cut - end) * np.exp(rate * (xi[mask] - cut))
+    return out
+
+
 @dataclass
 class ViscousProfile:
     """Sampled traveling wave with analytic tail continuation.
 
     xi_grid holds the traveling coordinate (position minus shock
-    displacement in the unscaled frame).  Outside the sampled range the
-    wave continues with the exact exponential tails anchored at the grid
-    edges, so evaluation is defined on the whole line.  Instances are
-    immutable by convention; the sample arrays are marked read-only.
+    displacement in the unscaled frame).  Strictly between the cutoffs
+    xi_cut_left and xi_cut_right the wave interpolates the ODE samples;
+    on and beyond each cutoff it is the exact exponential tail through
+    the ODE's value there, so evaluation is defined on the whole line
+    and reproduces the samples: eval_V(xi_grid) equals V.  Instances
+    are immutable by convention; the sample arrays are marked read-only.
     """
 
     shock: ShockData
@@ -115,27 +145,16 @@ class ViscousProfile:
     span_warning: bool
     law: PressureLaw = field(repr=False)
     _interp: PchipInterpolator = field(repr=False)
+    _tails: tuple = field(repr=False)
 
     def eval_V(self, xi):
         """Volume at traveling coordinate(s) xi, tails included."""
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        out = np.empty_like(xi)
-        lo, hi = self.xi_grid[0], self.xi_grid[-1]
-        inside = (xi >= lo) & (xi <= hi)
-        out[inside] = self._interp(xi[inside])
-        right = xi > hi
-        left = xi < lo
-        vp, vm = self.shock.v_plus, self.shock.v_minus
-        out[right] = vp + (self.V[-1] - vp) * np.exp(
-            self.lambda_plus * (xi[right] - hi))
-        out[left] = vm + (self.V[0] - vm) * np.exp(
-            self.lambda_minus * (xi[left] - lo))
-        return float(out[0]) if scalar else out
+        out = _join(np.atleast_1d(xi), self._interp, self.shock, self._tails)
+        return float(out[0]) if xi.ndim == 0 else out
 
     def eval_dV(self, xi):
-        """Slope dV/dxi, using the tail rates beyond the cutoff points."""
+        """Slope dV/dxi, using the tail rates on and beyond the cutoffs."""
         xi = np.asarray(xi, dtype=float)
         out = self._slope(np.atleast_1d(xi), np.atleast_1d(self.eval_V(xi)))
         return float(out[0]) if xi.ndim == 0 else out
@@ -143,19 +162,18 @@ class ViscousProfile:
     def _slope(self, xi, V):
         # dV/dxi from V = eval_V(xi), so a caller that already holds the
         # volumes does not evaluate the wave a second time
+        left, right = _beyond(xi, self._tails)
+        inside = ~(left | right)
         out = np.empty_like(V)
-        core = (xi >= self.xi_cut_left) & (xi <= self.xi_cut_right)
-        out[core] = _rhs_unchecked(V[core], self.shock, self.alpha, self.law)
-        right = xi > self.xi_cut_right
-        left = xi < self.xi_cut_left
-        out[right] = self.lambda_plus * (V[right] - self.shock.v_plus)
+        out[inside] = _rhs_unchecked(V[inside], self.shock, self.alpha,
+                                     self.law)
         out[left] = self.lambda_minus * (V[left] - self.shock.v_minus)
+        out[right] = self.lambda_plus * (V[right] - self.shock.v_plus)
         return out
 
     def eval(self, xi):
         V = self.eval_V(xi)
-        U = self.shock.u_minus - self.shock.s * (V - self.shock.v_minus)
-        return V, U
+        return V, _first_integral(self.shock, V)
 
 
 def _tail_cut_bound(delta, eps_tail, rate):
@@ -163,6 +181,15 @@ def _tail_cut_bound(delta, eps_tail, rate):
     # cutoff amplitude, with generous slack for the nonlinear region.
     drop = np.log(max(0.5 * delta / eps_tail, 10.0))
     return 3.0 * (drop + 10.0) / rate
+
+
+def _auto_grid(cut_l, cut_r, n):
+    # n uniform nodes k*h with one at 0.  A hair under n - 2 steps span
+    # [cut_l, cut_r]: each end node lies past its cutoff, and the node
+    # before it no more than 1e-6*h past.
+    h = (cut_r - cut_l) / (n - 2.0 - 1e-6)
+    k_left = math.floor(-cut_l / h) + 1
+    return np.arange(-k_left, n - k_left) * h
 
 
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
@@ -177,13 +204,16 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     alpha : viscosity exponent, > 0.
     tol : relative and absolute tolerance of the adaptive integrator;
         also sets the tail cutoff eps_tail = max(tol, 1e-10*delta).
-    span : half-width of the output grid.  None picks the smallest span
-        that comfortably contains both tail cutoffs.  If a given span
-        ends before a cutoff is reached the result carries
-        ``span_warning=True`` and the tails anchored at the grid edges
-        are slightly less accurate.
-    n : number of grid samples; odd values place a node exactly at the
-        normalisation point xi = 0.
+    span : None (the default) sizes each side of the grid by its own
+        tail: the n nodes cover [xi_cut_left, xi_cut_right] with one
+        node past each cutoff and one node at xi = 0.  A given span
+        fixes the grid to [-span, span] instead.  If that grid ends
+        before a cutoff is reached, the result carries
+        ``span_warning=True`` and the tail starts at the grid edge,
+        slightly less accurately.
+    n : number of grid samples.  The automatic grid always has a node
+        at the normalisation point xi = 0; a grid of given span has one
+        when n is odd.
     normalization : volume at xi = 0; defaults to the midpoint of the
         end states.  The wave is unique up to translation, so this only
         fixes the phase.
@@ -207,7 +237,8 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     lam_m, lam_p = tail_rates(shock, alpha, law)
 
     def rhs(xi, V):
-        return _rhs_unchecked(V[0], shock, alpha, law)
+        # a trial stage may step past an end state, where the slope is 0
+        return _rhs_unchecked(min(max(V[0], vp), vm), shock, alpha, law)
 
     def hit_right(xi, V):
         return V[0] - (vp + eps_tail)
@@ -230,29 +261,26 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         raise NumericalError(
             f"profile integration failed: {sol_f.message} / {sol_b.message}")
 
-    cut_r, v_cut_r = float(sol_f.t[-1]), float(sol_f.y[0, -1])
-    cut_l, v_cut_l = float(sol_b.t[-1]), float(sol_b.y[0, -1])
-    reached_r = sol_f.t_events[0].size > 0
-    reached_l = sol_b.t_events[0].size > 0
+    # the outermost ODE sample on each side anchors that side's tail
+    tails = ((float(sol_b.t[-1]), float(sol_b.y[0, -1]), lam_m),
+             (float(sol_f.t[-1]), float(sol_f.y[0, -1]), lam_p))
+    span_warning = not (sol_f.t_events[0].size and sol_b.t_events[0].size)
 
     if span is None:
-        span = 1.1 * max(cut_r, -cut_l)
-    span_warning = not (reached_r and reached_l)
+        xi = _auto_grid(tails[0][0], tails[1][0], n)
+    else:
+        xi = np.linspace(-span, span, n)
+        if n % 2 == 1:
+            xi[n // 2] = 0.0
 
-    xi = np.linspace(-span, span, n)
-    if n % 2 == 1:
-        xi[n // 2] = 0.0
-    V = np.empty(n)
-    fwd = (xi >= 0.0) & (xi <= cut_r)
-    bwd = (xi < 0.0) & (xi >= cut_l)
-    V[fwd] = sol_f.sol(xi[fwd])[0]
-    V[bwd] = sol_b.sol(xi[bwd])[0]
-    tail_r = xi > cut_r
-    tail_l = xi < cut_l
-    V[tail_r] = vp + (v_cut_r - vp) * np.exp(lam_p * (xi[tail_r] - cut_r))
-    V[tail_l] = vm + (v_cut_l - vm) * np.exp(lam_m * (xi[tail_l] - cut_l))
-    if n % 2 == 1:
-        V[n // 2] = v0
+    def ode(x):
+        out = np.full(x.shape, v0)
+        fwd, bwd = x > 0.0, x < 0.0
+        out[fwd] = sol_f.sol(x[fwd])[0]
+        out[bwd] = sol_b.sol(x[bwd])[0]
+        return out
+
+    V = _join(xi, ode, shock, tails)
 
     if np.any(V <= vp) or np.any(V >= vm) or np.any(np.diff(V) >= 0.0):
         flat = np.where(np.diff(V) >= 0.0)[0]
@@ -264,7 +292,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
                 "precision, reduce span (or rely on the automatic one)")
         raise NumericalError("profile samples violate strict monotone bounds")
 
-    U = shock.u_minus - shock.s * (V - shock.v_minus)
+    U = _first_integral(shock, V)
 
     interp = PchipInterpolator(xi, V)
     for arr in (xi, V, U):
@@ -273,8 +301,8 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         shock=shock, alpha=alpha, xi_grid=xi, V=V, U=U,
         lambda_minus=lam_m, lambda_plus=lam_p, normalization=v0,
         eps_tail=eps_tail, tol=tol,
-        xi_cut_left=max(cut_l, -span), xi_cut_right=min(cut_r, span),
-        span_warning=span_warning, law=law, _interp=interp)
+        xi_cut_left=tails[0][0], xi_cut_right=tails[1][0],
+        span_warning=span_warning, law=law, _interp=interp, _tails=tails)
 
 
 def residual_on_samples(xi, V, U, s: float, alpha: float, law: PressureLaw):
@@ -304,6 +332,12 @@ def profile_residual(profile: ViscousProfile) -> float:
                                profile.shock.s, profile.alpha, profile.law)
 
 
+def _phase(profile, y, tau):
+    # the stretched frame carries alpha in space and time, so the
+    # traveling phase y - s*tau sits at xi = alpha*(y - s*tau)
+    return profile.alpha * (np.asarray(y, dtype=float) - profile.shock.s * tau)
+
+
 def rescaled_profile_eval(profile: ViscousProfile, y, tau: float):
     """Profile read in the stretched frame used by the PDE solver.
 
@@ -312,15 +346,7 @@ def rescaled_profile_eval(profile: ViscousProfile, y, tau: float):
     unscaled coordinate alpha*(y - s*tau); evaluated there, the wave is
     an exact solution of the stretched system.
     """
-    xi = profile.alpha * (np.asarray(y, dtype=float) - profile.shock.s * tau)
-    return profile.eval(xi)
-
-
-def rescaled_profile_deriv(profile: ViscousProfile, y, tau: float):
-    """Spatial derivatives (dV/dy, dU/dy) in the stretched frame."""
-    xi = profile.alpha * (np.asarray(y, dtype=float) - profile.shock.s * tau)
-    dv = profile.alpha * profile.eval_dV(xi)
-    return dv, -profile.shock.s * dv
+    return profile.eval(_phase(profile, y, tau))
 
 
 @dataclass(frozen=True)

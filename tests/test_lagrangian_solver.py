@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from viscoshock import (Grid1D, NumericalError, RunRecord, ValidationError,
-                        d_pressure, init_constant, init_state,
+                        ViscousProfile, d_pressure, init_constant, init_state,
                         rescaled_profile_eval, run, step, step_flux_balance)
 
 
@@ -70,6 +70,22 @@ def test_init_state_zero_perturbation(reference_profile):
     assert np.array_equal(state.v, v_ref)
     assert np.array_equal(state.u, u_ref)
     assert state.tau == 0.0
+
+
+def test_init_state_evaluates_the_wave_once(reference_profile, monkeypatch):
+    # centers, interfaces and both boundary values come from one call on
+    # the merged half-cell grid
+    grid = Grid1D(y_min=-65.0, y_max=55.0, n_cells=400)
+    calls = []
+    eval_V = ViscousProfile.eval_V
+
+    def counted(self, xi):
+        calls.append(np.size(xi))
+        return eval_V(self, xi)
+
+    monkeypatch.setattr(ViscousProfile, "eval_V", counted)
+    init_state(reference_profile, grid)
+    assert calls == [2 * grid.n_cells + 1]
 
 
 def test_init_state_boundary_values(reference_profile, shock):

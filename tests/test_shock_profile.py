@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viscoshock import (ValidationError, build_shock, compute_profile,
+from viscoshock import (NumericalError, PressureLaw, ValidationError,
+                        build_shock, compute_profile,
                         profile_residual, reduced_rhs,
-                        rescaled_profile_deriv, rescaled_profile_eval,
-                        residual_on_samples, tail_rates,
-                        verify_profile_properties)
+                        rescaled_profile_eval, residual_on_samples,
+                        tail_rates, verify_profile_properties)
 
 
 def test_reduced_rhs_vanishes_at_end_states(shock, law):
@@ -183,17 +185,69 @@ def test_rescaled_eval_points(profile, shock):
     assert u == pytest.approx(shock.u_plus, abs=1e-12)
 
 
-def test_rescaled_deriv_matches_finite_difference(profile):
+def test_eval_dV_matches_finite_difference(profile):
+    # the stretched-frame slope alpha*dV/dxi against differences of
+    # the stretched-frame wave
     y = np.linspace(-20.0, 20.0, 41)
-    dv, du = rescaled_profile_deriv(profile, y, 0.5)
+    xi = profile.alpha * (y - profile.shock.s * 0.5)
+    dv = profile.alpha * profile.eval_dV(xi)
     h = 1e-5
     vp, _ = rescaled_profile_eval(profile, y + h, 0.5)
     vm, _ = rescaled_profile_eval(profile, y - h, 0.5)
     fd = (vp - vm) / (2.0 * h)
     assert np.max(np.abs(dv - fd)) < 1e-6
-    assert np.allclose(du, -profile.shock.s * dv, rtol=0, atol=1e-15)
 
 
 def test_profiles_immutable(profile):
     with pytest.raises(ValueError):
         profile.V[0] = 2.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, delta, alpha", [
+    # a symmetric automatic span sized by the slow right tail was too
+    # wide for the fast left one
+    (1.4, 9.0, 0.5),
+    (2.0, 0.2, 5.0),
+    # a trial stage stepped below v_plus into the validated pressure
+    (2.900344936390476, 0.566232454280005, 0.0010348774425225833),
+])
+def test_automatic_grid_regressions(gamma, delta, alpha):
+    law = PressureLaw(gamma)
+    prof = compute_profile(build_shock(1.0 + delta, 1.0, 0.0, law), alpha,
+                           law)
+    assert verify_profile_properties(prof, 0.0).all_ok
+    assert np.array_equal(prof.eval_V(prof.xi_grid), prof.V)
+
+
+def test_automatic_grid_layout(profile):
+    # uniform, a node at 0, exactly one node past each cutoff
+    xi = profile.xi_grid
+    h = np.diff(xi)
+    assert np.allclose(h, h[0], rtol=1e-9, atol=0.0)
+    assert np.count_nonzero(xi == 0.0) == 1
+    assert np.count_nonzero(xi <= profile.xi_cut_left) == 1
+    assert np.count_nonzero(xi >= profile.xi_cut_right) == 1
+    assert np.array_equal(profile.eval_V(xi), profile.V)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(gamma=st.floats(1.0, 3.0),
+       log_delta=st.floats(math.log(1e-6), math.log(5.0)),
+       log_alpha=st.floats(math.log(1e-3), math.log(5.0)))
+def test_readme_domain_never_blames_the_caller(gamma, log_delta, log_alpha):
+    # without a span, a profile is either right or a NumericalError (weak
+    # shocks, whose samples tie at the integrator's tolerance)
+    law = PressureLaw(gamma)
+    shock = build_shock(1.0 + math.exp(log_delta), 1.0, 0.0, law)
+    try:
+        prof = compute_profile(shock, math.exp(log_alpha), law)
+    except NumericalError:
+        return
+    V, U = prof.V, prof.U
+    assert np.all((V > shock.v_plus) & (V < shock.v_minus))
+    assert np.all(np.diff(V) < 0.0) and np.all(np.diff(U) < 0.0)
+    gap = U - (shock.u_minus - shock.s * (V - shock.v_minus))
+    assert np.max(np.abs(gap)) <= 10.0 * prof.tol
+    assert np.array_equal(prof.eval_V(prof.xi_grid), V)
