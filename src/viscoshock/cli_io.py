@@ -98,9 +98,9 @@ _RANGE_CHECKS = {
     "h": (lambda v: v > 0.0, "must be positive"),
     "x_samples": (lambda v: v >= 2, "must be at least 2"),
     "t_samples": (lambda v: v >= 2, "must be at least 2"),
-    "alphas": (lambda v: len(v) > 0 and all(a > 0 for a in v)
+    "alphas": (lambda v: len(v) >= 3 and all(a > 0 for a in v)
                and all(b < a for a, b in zip(v, v[1:])),
-               "must be strictly decreasing positive reals"),
+               "must be at least 3 strictly decreasing positive reals"),
     "tau_max": (lambda v: v > 0.0, "must be positive"),
     "cells_per_width": (lambda v: v >= 20.0, "must be at least 20"),
     "margin_efolds": (lambda v: v > 0.0, "must be positive"),
@@ -419,7 +419,7 @@ def cmd_selftest(args) -> int:
               out_dir / "conservation.json")
 
     rep = ed.EnergyReport()
-    ed.energy_snapshot(ls.init_state(profile, grid), profile, rep)
+    ed.energy_snapshot(state, profile, rep)
     ed.energy_snapshot(final, profile, rep)
     check("prepared data starts at zero", rep.peak_h2_sq[0] == 0.0)
     emit_csv(_energy_rows(rep), _ENERGY_COLUMNS, out_dir / "energy.csv")

@@ -2,8 +2,8 @@
 
 Errors are measured over the wedge that excludes a strip of half-width h
 around the shock ray and times before h (in unscaled coordinates).  Two
-error notions are computed per viscosity strength: the analytic
-traveling-wave tail error (no PDE solve, the supremum sits exactly at
+error notions are read from one traveling wave per viscosity strength:
+the analytic tail error (no PDE solve, the supremum sits exactly at
 distance h from the ray) and the full-solution error from an actual
 stretched-frame run sampled back onto the unscaled lattice.  A sweep fits
 the tail model error ~ C * exp(-c/alpha) and reports monotonicity.
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, ViscoshockError
 from .euler_waves import PressureLaw, ShockData, riemann_shock_eval
 from .lagrangian_solver import Grid1D, init_state, run
-from .shock_profile import ViscousProfile, compute_profile, tail_rates
+from .shock_profile import ViscousProfile, compute_profile
 
 __all__ = [
     "OmegaSpec",
@@ -52,14 +52,14 @@ class SolverSizing:
 
     The stretched-frame tail scale is 1/mu with mu the stretched decay
     rate; margin_efolds of that scale separate the wave from either
-    boundary and cells_per_width cells resolve one scale.
+    boundary and cells_per_width cells resolve one scale.  Each sweep
+    entry reads both errors from one wave built at profile_tol.
     """
 
     cells_per_width: float = 26.0
     margin_efolds: float = 20.0
     cfl: float = 0.4
     tau_max: float = 200.0
-    profile_n: int = 20001
     profile_tol: float = 1e-12
 
     def __post_init__(self):
@@ -69,13 +69,12 @@ class SolverSizing:
             raise ValidationError("tau_max must be positive")
 
 
-def _tail_pair_error(profile: ViscousProfile, xi: float, side: str) -> float:
-    shock = profile.shock
-    V = profile.eval_V(xi)
-    ref = shock.v_minus if side == "left" else shock.v_plus
-    # velocity deviation is |s| times the volume deviation (integrated
-    # mass equation), so the pair error carries the factor 1 + |s|
-    return (1.0 + abs(shock.s)) * abs(V - ref)
+_WAVE_SAMPLES = 20001
+
+
+def _wave(shock, alpha, law, tol):
+    # the one traveling wave per viscosity that both error measures read
+    return compute_profile(shock, alpha, law, tol=tol, n=_WAVE_SAMPLES)
 
 
 def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
@@ -87,12 +86,16 @@ def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
 
     The wave error depends only on the distance to the ray and decays
     monotonically, so the supremum over the wedge is attained at
-    distance h on whichever side decays slower.
+    distance h on whichever side decays slower.  Without ``profile`` the
+    wave is the one a sweep entry uses: tolerance tol, 20,001 samples.
     """
     if profile is None:
-        profile = compute_profile(shock, alpha, law, tol=tol)
-    return max(_tail_pair_error(profile, -omega.h, "left"),
-               _tail_pair_error(profile, omega.h, "right"))
+        profile = _wave(shock, alpha, law, tol)
+    V = profile.eval_V(np.array([-omega.h, omega.h]))
+    ref = np.array([profile.shock.v_minus, profile.shock.v_plus])
+    # velocity deviation is |s| times the volume deviation (integrated
+    # mass equation), so the pair error carries the factor 1 + |s|
+    return float(np.max((1.0 + abs(profile.shock.s)) * np.abs(V - ref)))
 
 
 def omega_positions(shock: ShockData, omega: OmegaSpec, t: float,
@@ -131,10 +134,14 @@ def full_error(shock: ShockData, alpha: float, law: PressureLaw,
     always including the two points exactly at distance h from the ray
     where the supremum of the wave error sits.
     """
-    profile = compute_profile(shock, alpha, law, tol=sizing.profile_tol,
-                              n=sizing.profile_n)
-    lam_m, lam_p = tail_rates(shock, alpha, law)
-    mu = alpha * min(lam_m, -lam_p)          # stretched-frame tail rate
+    return _full_error(_wave(shock, alpha, law, sizing.profile_tol), omega,
+                       sizing)
+
+
+def _full_error(profile, omega, sizing):
+    shock, alpha = profile.shock, profile.alpha
+    # stretched-frame tail rate
+    mu = alpha * min(profile.lambda_minus, -profile.lambda_plus)
     margin = sizing.margin_efolds / mu
     tau_end = omega.t_final / alpha
     capped = tau_end > sizing.tau_max
@@ -153,16 +160,13 @@ def full_error(shock: ShockData, alpha: float, law: PressureLaw,
     t_hi = min(omega.t_final, alpha * tau_end)
     t_lattice = np.linspace(omega.h, t_hi, omega.t_samples)
     snaps = []
-    _, record = run(state, tau_end,
-                    observer=lambda s: snaps.append(s),
+    _, record = run(state, tau_end, observer=snaps.append,
                     observe_at=list(t_lattice / alpha), cfl=sizing.cfl)
 
     yc, yi = grid.centers(), grid.interfaces()
     err = 0.0
-    for snap in snaps:
-        t = alpha * snap.tau
-        if t < omega.h - 1e-9:
-            continue                        # final-state call below h
+    # read each snapshot at its lattice time: alpha*snap.tau can round below h
+    for t, snap in zip(t_lattice, snaps):
         xs = omega_positions(shock, omega, t,
                              alpha * grid.y_min, alpha * grid.y_max)
         ys = xs / alpha
@@ -209,8 +213,9 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
                 sizing: SolverSizing = SolverSizing()) -> SweepResult:
     """Run the error measurements over a strictly decreasing alpha list.
 
-    Entries run one after another and independently: per-entry failures
-    are recorded and the sweep continues.
+    Each entry builds one wave (sizing.profile_tol, 20,001 samples) and
+    reads both errors from it.  A ViscoshockError refusing an entry is
+    recorded and the sweep continues; other exceptions propagate.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 3:
@@ -218,35 +223,28 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])) or alphas[-1] <= 0:
         raise ValidationError("alphas must be strictly decreasing and positive")
 
-    def task(a):
-        e_p = profile_only_error(shock, a, law, omega, tol=sizing.profile_tol)
-        if include_full:
-            res = full_error(shock, a, law, omega, sizing)
-            return e_p, res.error, res.capped, res.window_ok
-        return e_p, float("nan"), False, True
-
-    results = {}
-    failures = {}
+    nan = float("nan")
+    out = SweepResult(alphas=alphas, e_profile=[], e_full=[], capped=[],
+                      failures={})
     for a in alphas:
         try:
-            results[a] = task(a)
-        except Exception as exc:
-            failures[a] = f"{type(exc).__name__}: {exc}"
+            wave = _wave(shock, a, law, sizing.profile_tol)
+            e_p = profile_only_error(shock, a, law, omega, profile=wave)
+            full = _full_error(wave, omega, sizing) if include_full else None
+        except ViscoshockError as exc:
+            out.failures[a] = f"{type(exc).__name__}: {exc}"
+            e_p, full = nan, None
+        out.e_profile.append(e_p)
+        out.e_full.append(nan if full is None else full.error)
+        out.capped.append(full is not None and full.capped)
+        out.window_ok = out.window_ok and (full is None or full.window_ok)
 
-    nan = float("nan")
-    e_profile = [results[a][0] if a in results else nan for a in alphas]
-    e_full = [results[a][1] if a in results else nan for a in alphas]
-    capped = [results[a][2] if a in results else False for a in alphas]
-    window_ok = all(results[a][3] for a in results)
-
-    out = SweepResult(alphas=alphas, e_profile=e_profile, e_full=e_full,
-                      capped=capped, failures=failures, window_ok=window_ok)
-    valid = [(a, e) for a, e in zip(alphas, e_profile)
+    valid = [(a, e) for a, e in zip(alphas, out.e_profile)
              if np.isfinite(e) and e > 0.0]
     if len(valid) >= 2:
         out.c_fit, out.big_c_fit, out.r_squared = _fit_exponential(
             [a for a, _ in valid], [e for _, e in valid])
-    finite = [e for e in e_profile if np.isfinite(e)]
+    finite = [e for e in out.e_profile if np.isfinite(e)]
     out.monotone_flag = (len(finite) == len(alphas)
                          and all(b < a for a, b in zip(finite, finite[1:])))
     return out

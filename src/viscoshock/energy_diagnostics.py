@@ -67,18 +67,18 @@ def l2_sq(f: np.ndarray, dy: float) -> float:
 
 
 def _sobolev_sq(f, dy):
-    # ((|f|^2, |f'|^2, |f''|^2), f', f''): the squared L2 norms of a
+    # ((|f|^2, |f'|^2, |f''|^2), f''): the squared L2 norms of a
     # sampled function and of its finite-difference derivatives
     if f.size < 5:
         raise ValidationError("need at least 5 samples for Sobolev norms")
-    d1, d2 = diff1(f, dy), diff2(f, dy)
-    return (l2_sq(f, dy), l2_sq(d1, dy), l2_sq(d2, dy)), d1, d2
+    d2 = diff2(f, dy)
+    return (l2_sq(f, dy), l2_sq(diff1(f, dy), dy), l2_sq(d2, dy)), d2
 
 
 def sobolev_triple(f: np.ndarray, dy: float):
     """(L2, H1, H2) norms of a sampled function, derivatives by
     finite differences.  Needs at least 5 samples."""
-    (a, b, c), _, _ = _sobolev_sq(f, dy)
+    (a, b, c), _ = _sobolev_sq(f, dy)
     return np.sqrt(a), np.sqrt(a + b), np.sqrt(a + b + c)
 
 
@@ -216,7 +216,6 @@ class EnergyReport:
     diss_psi: list = field(default_factory=list)
     grad_sq_series: list = field(default_factory=list)
     grad2_sq_series: list = field(default_factory=list)
-    sup_grad_series: list = field(default_factory=list)
     remainder_max: list = field(default_factory=list)
     remainder_margin: list = field(default_factory=list)
     remainder_ratio: list = field(default_factory=list)
@@ -235,8 +234,8 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     fields, v_ref, du_ref = _against_wave(state, profile)
     dy = fields.dy
 
-    (phi0, phi1, phi2), d1_phi, _ = _sobolev_sq(fields.phi_cum, dy)
-    (psi0, psi1, psi2), d1_psi, d2_psi = _sobolev_sq(fields.psi_cum, dy)
+    (phi0, phi1, phi2), _ = _sobolev_sq(fields.phi_cum, dy)
+    (psi0, psi1, psi2), d2_psi = _sobolev_sq(fields.psi_cum, dy)
     l2 = phi0 + psi0
     h1 = l2 + phi1 + psi1
     h2 = h1 + phi2 + psi2
@@ -257,7 +256,6 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
 
     grad_sq = phi1 + psi1
     grad2_sq = phi2 + psi2
-    sup_grad = float(max(np.max(np.abs(d1_phi)), np.max(np.abs(d1_psi))))
 
     rem = _remainder(state, fields, v_ref, du_ref)
 
@@ -272,7 +270,6 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     report.diss_psi.append(acc_s)
     report.grad_sq_series.append(grad_sq)
     report.grad2_sq_series.append(grad2_sq)
-    report.sup_grad_series.append(sup_grad)
     report.remainder_max.append(rem.max_abs)
     report.remainder_margin.append(rem.margin)
     report.remainder_ratio.append(rem.ratio_max)

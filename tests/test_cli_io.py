@@ -51,6 +51,14 @@ def test_bad_value_names_key():
         parse_config(MINIMAL + "alphas = 0.1 0.2\n")
 
 
+def test_alphas_need_three_values():
+    # alpha_sweep refuses fewer than 3 entries; the config names the key
+    with pytest.raises(ValidationError, match="key alphas"):
+        parse_config(MINIMAL + "alphas = 0.2 0.1\n")
+    assert parse_config(MINIMAL + "alphas = 0.3 0.2 0.1\n").alphas == (
+        0.3, 0.2, 0.1)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         parse_config("gamma = 2.0\ngamma = 3.0\n")

@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 from viscoshock import (OmegaSpec, SolverSizing, ValidationError, alpha_sweep,
-                        compute_profile, full_error, omega_positions,
-                        profile_only_error)
+                        compute_profile, convergence_harness, full_error,
+                        omega_positions, profile_only_error)
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +117,53 @@ def test_sweep_records_failures(shock, law, omega):
                         include_full=True, sizing=sizing)
     assert len(sweep.failures) == 3       # margins far too small
     assert all(np.isnan(e) for e in sweep.e_full)
+
+
+@pytest.mark.parametrize("alpha", [0.104, 0.114, 0.116])
+def test_full_error_samples_at_lattice_times(shock, law, alpha):
+    # alpha * (h / alpha) rounds one ulp below h for these alphas; the
+    # wedge is sampled at the lattice time the harness chose instead
+    omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=201, t_samples=3)
+    res = full_error(shock, alpha, law, omega)
+    assert np.isfinite(res.error)
+    assert res.window_ok
+
+
+def test_sweep_accepts_lattice_rounding_alpha(shock, law):
+    omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=201, t_samples=3)
+    sweep = alpha_sweep(shock, law, [0.4, 0.104, 0.05], omega)
+    assert sweep.failures == {}
+    assert all(np.isfinite(sweep.e_full))
+
+
+def test_sweep_builds_one_wave_per_entry(shock, law, omega, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compute_profile(*args, **kwargs)
+
+    monkeypatch.setattr(convergence_harness, "compute_profile", counted)
+    alphas = [0.4, 0.3, 0.2, 0.1]
+    sweep = alpha_sweep(shock, law, alphas, omega)
+    assert calls == alphas
+    calls.clear()
+    alpha_sweep(shock, law, alphas, omega, include_full=False)
+    assert calls == alphas
+    # standalone calls reproduce the sweep's entries bit for bit
+    sizing = SolverSizing()
+    for a, e_p, e_f in zip(alphas, sweep.e_profile, sweep.e_full):
+        assert profile_only_error(shock, a, law, omega,
+                                  tol=sizing.profile_tol) == e_p
+        assert full_error(shock, a, law, omega, sizing).error == e_f
+
+
+def test_sweep_propagates_programming_errors(shock, law, omega,
+                                             monkeypatch):
+    # only library refusals are recorded as entry failures
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(convergence_harness, "compute_profile", broken)
+    with pytest.raises(TypeError, match="injected"):
+        alpha_sweep(shock, law, [0.4, 0.2, 0.1], omega, include_full=False)
