@@ -80,35 +80,18 @@ def _parse_float_list(text):
 
 _PARSERS = {float: float, int: int, tuple: _parse_float_list}
 
-_RANGE_CHECKS = {
-    "gamma": (lambda v: v >= 1.0, "must be >= 1"),
-    "v_minus": (lambda v: v > 0.0, "must be positive"),
-    "v_plus": (lambda v: v > 0.0, "must be positive"),
-    "alpha": (lambda v: v > 0.0, "must be positive"),
-    "tol": (lambda v: v > 0.0, "must be positive"),
-    "span": (lambda v: v >= 0.0, "must be nonnegative (0 = automatic)"),
-    "n": (lambda v: v >= 33, "must be at least 33"),
-    "n_cells": (lambda v: v >= 16, "must be at least 16"),
-    "cfl": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "tau_end": (lambda v: v >= 0.0, "must be nonnegative"),
-    "observe_every": (lambda v: v > 0.0, "must be positive"),
-    "dy2_step_factor": (lambda v: v >= 0.0, "must be nonnegative"),
-    "inject_amplitude": (lambda v: v >= 0.0, "must be nonnegative"),
-    "inject_width": (lambda v: v > 0.0, "must be positive"),
-    "h": (lambda v: v > 0.0, "must be positive"),
-    "x_samples": (lambda v: v >= 2, "must be at least 2"),
-    "t_samples": (lambda v: v >= 2, "must be at least 2"),
-    "alphas": (lambda v: len(v) >= 3 and all(a > 0 for a in v)
-               and all(b < a for a, b in zip(v, v[1:])),
-               "must be at least 3 strictly decreasing positive reals"),
-    "tau_max": (lambda v: v > 0.0, "must be positive"),
-    "cells_per_width": (lambda v: v >= 20.0, "must be at least 20"),
-    "margin_efolds": (lambda v: v > 0.0, "must be positive"),
+# keys no library call sees; dy2_step_factor = 0 turns the step cap off
+_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0")
+_CONFIG_RULES = {
+    "dy2_step_factor": _NONNEGATIVE, "inject_amplitude": _NONNEGATIVE,
+    "inject_center": (np.isfinite, "must be finite"),
+    "inject_width": (lambda v: 0.0 < v < np.inf,
+                     "must be positive and finite"),
 }
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate flat ``key = value`` configuration text."""
+    """Parse ``key = value`` text, checked by the library calls using it."""
     types = {f.name: f.type for f in fields(RunConfig)}
     defaults = RunConfig()
     values = {}
@@ -133,16 +116,19 @@ def parse_config(text: str) -> RunConfig:
                 f"key {key}: cannot parse {val!r} ({exc})") from exc
 
     cfg = RunConfig(**values)
-    for key, (ok, msg) in _RANGE_CHECKS.items():
+    for key, (ok, msg) in _CONFIG_RULES.items():
         if not ok(getattr(cfg, key)):
             raise ValidationError(f"key {key}: {msg}")
-    if cfg.v_plus >= cfg.v_minus:
-        raise ValidationError(
-            "key v_plus: backward-shock ordering requires v_minus > v_plus")
-    if cfg.t_final <= cfg.h:
-        raise ValidationError("key t_final: must exceed h")
-    if cfg.y_min >= cfg.y_max:
-        raise ValidationError("key y_min: must be below y_max")
+    try:
+        _law_and_shock(cfg)
+        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.span or None, cfg.n)
+        ls.Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
+        ls._check_run_args(cfg.cfl, 0.0, cfg.tau_end, cfg.observe_every)
+        _sweep_specs(cfg)
+        ch._check_alphas(cfg.alphas)
+    except ValidationError as exc:
+        key, _, reason = str(exc).partition(" ")  # messages open with it
+        raise ValidationError(f"key {key}: {reason}") from exc
     return cfg
 
 
@@ -199,6 +185,12 @@ def _profile(x):
     law, shock = _law_and_shock(x)
     return sp.compute_profile(shock, x.alpha, law, tol=x.tol,
                               span=x.span or None, n=x.n)
+
+
+def _sweep_specs(cfg: RunConfig):
+    return (ch.OmegaSpec(cfg.h, cfg.t_final, cfg.x_samples, cfg.t_samples),
+            ch.SolverSizing(cfg.cells_per_width, cfg.margin_efolds, cfg.cfl,
+                            cfg.tau_max))
 
 
 def _shock_payload(law, shock):
@@ -340,11 +332,7 @@ def cmd_energy(args) -> int:
 def cmd_converge(args) -> int:
     cfg = load_config(args.config)
     law, shock = _law_and_shock(cfg)
-    omega = ch.OmegaSpec(h=cfg.h, t_final=cfg.t_final,
-                         x_samples=cfg.x_samples, t_samples=cfg.t_samples)
-    sizing = ch.SolverSizing(cells_per_width=cfg.cells_per_width,
-                             margin_efolds=cfg.margin_efolds, cfl=cfg.cfl,
-                             tau_max=cfg.tau_max)
+    omega, sizing = _sweep_specs(cfg)
     result = ch.alpha_sweep(shock, law, cfg.alphas, omega,
                             include_full=not args.profile_only,
                             sizing=sizing)
@@ -378,8 +366,7 @@ def cmd_selftest(args) -> int:
         checks.append((name, bool(ok)))
         print(f"[{'ok' if ok else 'FAIL'}] {name}")
 
-    law, shock = _law_and_shock(
-        RunConfig(gamma=2.0, v_minus=1.2, v_plus=1.0, u_minus=0.0))
+    law, shock = _law_and_shock(RunConfig())
     payload = _shock_payload(law, shock)
     check("jump relations close",
           abs(payload["rh_residual_mass"]) <= 1e-12
@@ -453,24 +440,23 @@ def _build_parser():
                      "small-viscosity convergence measurements for 1-D "
                      "Lagrangian gas dynamics"))
     sub = parser.add_subparsers(dest="command", required=True)
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--gamma", type=float, default=RunConfig.gamma)
+    states.add_argument("--v-minus", type=float, required=True)
+    states.add_argument("--v-plus", type=float, required=True)
+    states.add_argument("--u-minus", type=float, default=RunConfig.u_minus)
 
-    p = sub.add_parser("shock", help="inviscid jump states and speed")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--v-minus", type=float, required=True)
-    p.add_argument("--v-plus", type=float, required=True)
-    p.add_argument("--u-minus", type=float, default=0.0)
+    p = sub.add_parser("shock", parents=[states],
+                       help="inviscid jump states and speed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_shock)
 
-    p = sub.add_parser("profile", help="compute a traveling-wave profile")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--v-minus", type=float, required=True)
-    p.add_argument("--v-plus", type=float, required=True)
-    p.add_argument("--u-minus", type=float, default=0.0)
+    p = sub.add_parser("profile", parents=[states],
+                       help="compute a traveling-wave profile")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--span", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=4001)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--span", type=float, default=RunConfig.span)
+    p.add_argument("--n", type=int, default=RunConfig.n)
+    p.add_argument("--tol", type=float, default=RunConfig.tol)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profile)
 

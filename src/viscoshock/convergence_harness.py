@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError, ViscoshockError
 from .euler_waves import PressureLaw, ShockData, riemann_shock_eval
-from .lagrangian_solver import Grid1D, init_state, run
+from .lagrangian_solver import Grid1D, _check_run_args, init_state, run
 from .shock_profile import ViscousProfile, compute_profile
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Sampling wedge: |x - s*t| >= h and h <= t <= t_final."""
+    """Sampling wedge |x - s*t| >= h, h <= t <= t_final < inf, h > 0."""
 
     h: float
     t_final: float
@@ -40,20 +40,23 @@ class OmegaSpec:
     t_samples: int = 5
 
     def __post_init__(self):
-        if not 0.0 < self.h < self.t_final:
-            raise ValidationError("require 0 < h < t_final")
-        if self.x_samples < 2 or self.t_samples < 2:
-            raise ValidationError("need at least 2 samples per axis")
+        if not 0.0 < self.h < np.inf:
+            raise ValidationError("h must be positive and finite")
+        if not self.h < self.t_final < np.inf:
+            raise ValidationError("t_final must be finite and exceed h")
+        for name in ("x_samples", "t_samples"):
+            if getattr(self, name) < 2:
+                raise ValidationError(f"{name} must be at least 2")
 
 
 @dataclass(frozen=True)
 class SolverSizing:
     """Automatic grid sizing for full-solution error runs.
 
-    The stretched-frame tail scale is 1/mu with mu the stretched decay
-    rate; margin_efolds of that scale separate the wave from either
-    boundary and cells_per_width cells resolve one scale.  Each sweep
-    entry reads both errors from one wave built at profile_tol.
+    The stretched-frame tail scale is 1/mu, mu the stretched decay rate:
+    finite margin_efolds > 0 of it separate the wave from each boundary
+    and finite cells_per_width >= 20 cells resolve one.  0 < cfl < 1;
+    tau_max > 0 may be inf.  Each entry's one wave is built at profile_tol.
     """
 
     cells_per_width: float = 26.0
@@ -63,9 +66,12 @@ class SolverSizing:
     profile_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.cells_per_width < 20.0:
-            raise ValidationError("need at least 20 cells per profile width")
-        if self.tau_max <= 0.0:
+        if not 20.0 <= self.cells_per_width < np.inf:
+            raise ValidationError("cells_per_width must be finite and >= 20")
+        if not 0.0 < self.margin_efolds < np.inf:
+            raise ValidationError("margin_efolds must be positive and finite")
+        _check_run_args(self.cfl)
+        if not self.tau_max > 0.0:
             raise ValidationError("tau_max must be positive")
 
 
@@ -208,6 +214,16 @@ def _fit_exponential(alphas, errors):
     return -float(slope), float(np.exp(intercept)), r2
 
 
+def _check_alphas(alphas):
+    # alpha_sweep's list as floats; NaN fails every comparison
+    alphas = [float(a) for a in alphas]
+    if len(alphas) < 3 or not all(np.inf > a1 > a2 > 0.0
+                                  for a1, a2 in zip(alphas, alphas[1:])):
+        raise ValidationError("alphas must be at least 3 finite, positive "
+                              "and strictly decreasing values")
+    return alphas
+
+
 def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
                 omega: OmegaSpec, include_full: bool = True,
                 sizing: SolverSizing = SolverSizing()) -> SweepResult:
@@ -217,12 +233,7 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
     reads both errors from it.  A ViscoshockError refusing an entry is
     recorded and the sweep continues; other exceptions propagate.
     """
-    alphas = [float(a) for a in alphas]
-    if len(alphas) < 3:
-        raise ValidationError("sweep needs at least 3 alpha values")
-    if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])) or alphas[-1] <= 0:
-        raise ValidationError("alphas must be strictly decreasing and positive")
-
+    alphas = _check_alphas(alphas)
     nan = float("nan")
     out = SweepResult(alphas=alphas, e_profile=[], e_full=[], capped=[],
                       failures={})

@@ -41,7 +41,7 @@ class PressureLaw:
 
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma < 1.0:
-            raise ValidationError(f"gamma must be >= 1, got {self.gamma}")
+            raise ValidationError(f"gamma must be finite and >= 1, got {self.gamma}")
 
 
 def _check_positive_volume(v):
@@ -100,16 +100,16 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
     s**2 = (p(v_plus) - p(v_minus)) / (v_minus - v_plus) and the downstream
     velocity follows from u_plus = u_minus - s*(v_plus - v_minus).
 
-    Raises ValidationError unless v_minus > v_plus > 0.
+    Raises ValidationError unless finite with v_minus > v_plus > 0.
     """
-    if not (np.isfinite(v_minus) and np.isfinite(v_plus) and np.isfinite(u_minus)):
-        raise ValidationError("shock states must be finite")
-    if v_plus <= 0.0 or v_minus <= 0.0:
-        raise ValidationError("specific volumes must be positive")
-    if v_plus >= v_minus:
+    if not np.isfinite(u_minus):
+        raise ValidationError("u_minus must be finite")
+    if not 0.0 < v_plus < np.inf:
+        raise ValidationError("v_plus must be positive and finite")
+    if not v_plus < v_minus < np.inf:
         raise ValidationError(
-            "not a 1-shock: requires v_minus > v_plus "
-            f"(got v_minus={v_minus}, v_plus={v_plus})")
+            f"v_minus must be finite and exceed v_plus, got v_minus={v_minus}, "
+            f"v_plus={v_plus}: not a 1-shock, which requires v_minus > v_plus")
 
     p_m = pressure(v_minus, law)
     p_p = pressure(v_plus, law)

@@ -58,8 +58,10 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not self.y_min < self.y_max:
-            raise ValidationError("require y_min < y_max")
+        if not -math.inf < self.y_max < math.inf:
+            raise ValidationError("y_max must be finite")
+        if not -math.inf < self.y_min < self.y_max:
+            raise ValidationError("y_min must be finite and below y_max")
         if self.n_cells < 16:
             raise ValidationError("n_cells must be at least 16")
 
@@ -279,32 +281,38 @@ def _targets(tau0, tau_end, observer, observe_every, observe_at):
     return targets
 
 
+def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=None,
+                    max_dtau=None):
+    # run's domain from start time tau0; NaN fails every comparison
+    if not tau0 - 1e-15 <= tau_end < math.inf:
+        raise ValidationError("tau_end must be finite and >= the start time")
+    if not 0.0 < cfl < 1.0:
+        raise ValidationError("cfl must be in (0, 1)")
+    if observe_every is not None and not observe_every > 0.0:
+        raise ValidationError("observe_every must be positive")
+    if max_dtau is not None and not max_dtau > 0.0:
+        raise ValidationError("max_dtau must be positive")
+
+
 def run(state: SolverState, tau_end: float, observer=None,
         observe_every: float | None = None, cfl: float = 0.4,
         max_dtau: float | None = None,
         observe_at: list | None = None):
-    """March the state to tau_end with automatic step selection.
+    """March the state to tau_end, finite and >= state.tau.
 
-    The step is the acoustic CFL limit cfl*dy/max|wave speed| recomputed
-    from the current volumes, optionally capped by max_dtau (the
-    convergence tests tie the step to dy**2 this way), and clipped so
-    observation times and tau_end are hit exactly.  The observer, if
-    given, receives the read-only state at each multiple of
-    observe_every after the start time and at tau_end; an interval
-    longer than the run yields exactly one call at the end.  observe_at
-    replaces the uniform schedule with explicit times; coinciding times
-    give one call.  The volumes are validated once on entry and the loop
-    runs on arrays, building a SolverState only where one is observed
-    and at tau_end.  Returns (final state, RunRecord).
+    The step is the acoustic CFL limit cfl*dy/max|wave speed|, cfl in
+    (0, 1), recomputed from the current volumes, optionally capped by
+    max_dtau > 0 (the convergence tests tie the step to dy**2 this way),
+    and clipped so observation times and tau_end are hit exactly.  The
+    observer, if given, receives the read-only state at each multiple of
+    observe_every > 0 after the start time and at tau_end; an interval
+    longer than the run, inf included, yields one call at the end.
+    observe_at replaces the uniform schedule with explicit times;
+    coinciding times give one call.  The volumes are validated once on
+    entry and the loop runs on arrays, building a SolverState only where
+    one is observed and at tau_end.  Returns (final state, RunRecord).
     """
-    if tau_end < state.tau - 1e-15:
-        raise ValidationError("tau_end must not precede the current time")
-    if not 0.0 < cfl < 1.0:
-        raise ValidationError("cfl must be in (0, 1)")
-    if observe_every is not None and observe_every <= 0.0:
-        raise ValidationError("observe_every must be positive")
-    if max_dtau is not None and max_dtau <= 0.0:
-        raise ValidationError("max_dtau must be positive")
+    _check_run_args(cfl, state.tau, tau_end, observe_every, max_dtau)
     v = _check_positive_volume(state.v)
 
     v_low = float(np.min(v))

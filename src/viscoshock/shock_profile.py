@@ -192,6 +192,18 @@ def _auto_grid(cut_l, cut_r, n):
     return np.arange(-k_left, n - k_left) * h
 
 
+def _check_profile_args(alpha, tol, span, n):
+    # compute_profile's shock-free domain; NaN fails every comparison
+    if not 0.0 < alpha < math.inf:
+        raise ValidationError("alpha must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
+    if n < 33:
+        raise ValidationError("n must be at least 33")
+    if span is not None and not 0.0 < span < math.inf:
+        raise ValidationError("span must be positive and finite")
+
+
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
                     tol: float = 1e-10, span: float | None = None,
                     n: int = 4001,
@@ -201,34 +213,28 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     Parameters
     ----------
     shock : admissible backward shock fixing end states and speed.
-    alpha : viscosity exponent, > 0.
-    tol : relative and absolute tolerance of the adaptive integrator;
+    alpha : viscosity exponent, positive and finite.
+    tol : integrator tolerance (relative and absolute), in (0, delta/4);
         also sets the tail cutoff eps_tail = max(tol, 1e-10*delta).
     span : None (the default) sizes each side of the grid by its own
         tail: the n nodes cover [xi_cut_left, xi_cut_right] with one
-        node past each cutoff and one node at xi = 0.  A given span
-        fixes the grid to [-span, span] instead.  If that grid ends
-        before a cutoff is reached, the result carries
+        node past each cutoff and one node at xi = 0.  A given span,
+        positive and finite, fixes the grid to [-span, span] instead.
+        If that grid ends before a cutoff is reached, the result carries
         ``span_warning=True`` and the tail starts at the grid edge,
         slightly less accurately.
-    n : number of grid samples.  The automatic grid always has a node
+    n : number of grid samples, at least 33.  The automatic grid has a node
         at the normalisation point xi = 0; a grid of given span has one
         when n is odd.
     normalization : volume at xi = 0; defaults to the midpoint of the
         end states.  The wave is unique up to translation, so this only
         fixes the phase.
     """
-    if alpha <= 0.0 or not np.isfinite(alpha):
-        raise ValidationError("alpha must be positive and finite")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
-    if n < 33:
-        raise ValidationError("n must be at least 33")
-    if span is not None and span <= 0.0:
-        raise ValidationError("span must be positive")
-
+    _check_profile_args(alpha, tol, span, n)
     vp, vm = shock.v_plus, shock.v_minus
     delta = shock.delta
+    if not tol < 0.25 * delta:   # else the tail cutoffs swallow the jump
+        raise ValidationError(f"tol must be below delta/4 = {0.25 * delta:.6g}")
     eps_tail = max(tol, 1e-10 * delta)
     v0 = 0.5 * (vm + vp) if normalization is None else float(normalization)
     if not (vp + 2.0 * eps_tail < v0 < vm - 2.0 * eps_tail):

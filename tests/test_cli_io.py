@@ -1,10 +1,16 @@
 import json
+import re
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viscoshock import ValidationError
-from viscoshock.cli_io import (RunConfig, emit_csv, emit_json, load_config,
-                               main, parse_config)
+from viscoshock import Grid1D, OmegaSpec, SolverSizing, ValidationError
+from viscoshock.cli_io import (RunConfig, _law_and_shock, emit_csv, emit_json,
+                               load_config, main, parse_config)
 
 MINIMAL = "gamma = 2.0\nv_minus = 1.2\nv_plus = 1.0\n"
 
@@ -159,3 +165,90 @@ def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text(MINIMAL)
     assert load_config(p).v_minus == 1.2
+
+
+# One out-of-range value per key besides NaN and +-inf.  u_minus and
+# inject_center accept every finite value, and y_max is bounded only by
+# y_min, whose rule names y_min (the y_min = 60 case).
+OUT_OF_RANGE = {
+    "gamma": "0.5", "v_minus": "0.5", "v_plus": "0", "u_minus": None,
+    "alpha": "0", "tol": "0", "span": "-1", "n": "32", "y_min": "60",
+    "y_max": None, "n_cells": "15", "cfl": "1", "tau_end": "-1",
+    "observe_every": "0", "dy2_step_factor": "-1", "inject_amplitude": "-1",
+    "inject_center": None, "inject_width": "0", "h": "0", "t_final": "0.5",
+    "x_samples": "1", "t_samples": "1", "alphas": "0.1 0.2 0.3",
+    "tau_max": "0", "cells_per_width": "19", "margin_efolds": "0",
+}
+README_VALID = {("observe_every", "inf"), ("tau_max", "inf")}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_every_key_refused_by_name(key):
+    bad = ["nan", "inf", "-inf"]
+    if OUT_OF_RANGE[key] is not None:
+        bad.append(OUT_OF_RANGE[key])
+    for val in bad:
+        text = f"{key} = {val}\n"
+        if (key, val) in README_VALID:
+            assert getattr(parse_config(text), key) == float(val)
+            continue
+        with pytest.raises(ValidationError, match=f"^key {key}: "):
+            parse_config(text)
+
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig)
+              if isinstance(getattr(RunConfig, f.name), float)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(key=st.sampled_from(FLOAT_KEYS), value=st.floats())
+def test_config_refuses_by_name_or_builds(key, value):
+    # a refusal names the key (an ordering rule may open with its partner,
+    # as in "key t_final: must be finite and exceed h"); an accepted
+    # config builds every library object the subcommands build from it
+    try:
+        cfg = parse_config(f"{key} = {value!r}\n")
+    except ValidationError as exc:
+        assert re.match(rf"key \w+: .*\b{key}\b|key {key}: ", str(exc))
+        return
+    _law_and_shock(cfg)
+    Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
+    OmegaSpec(h=cfg.h, t_final=cfg.t_final, x_samples=cfg.x_samples,
+              t_samples=cfg.t_samples)
+    SolverSizing(cells_per_width=cfg.cells_per_width,
+                 margin_efolds=cfg.margin_efolds, cfl=cfg.cfl,
+                 tau_max=cfg.tau_max)
+
+
+def _cli(*argv):
+    # a subprocess with a timeout, so a hang fails the test instead of
+    # stalling the suite
+    return subprocess.run([sys.executable, "-m", "viscoshock.cli_io", *argv],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_profile_nan_span_exits_1(tmp_path):
+    proc = _cli("profile", "--v-minus", "1.2", "--v-plus", "1.0",
+                "--alpha", "0.1", "--span", "nan",
+                "--out", str(tmp_path / "p.csv"))
+    assert proc.returncode == 1, proc.stderr
+    assert "span" in proc.stderr
+
+
+def test_cli_solve_infinite_tau_end_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL + "tau_end = inf\n")
+    out = tmp_path / "out"
+    proc = _cli("solve", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "key tau_end" in proc.stderr
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_converge_infinite_cells_per_width_exits_1(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL + "cells_per_width = inf\n")
+    proc = _cli("converge", "--config", str(cfg), "--out",
+                str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "key cells_per_width" in proc.stderr

@@ -167,3 +167,32 @@ def test_sweep_propagates_programming_errors(shock, law, omega,
     monkeypatch.setattr(convergence_harness, "compute_profile", broken)
     with pytest.raises(TypeError, match="injected"):
         alpha_sweep(shock, law, [0.4, 0.2, 0.1], omega, include_full=False)
+
+
+def test_sizing_refuses_at_construction():
+    # each used to be accepted and surface per alpha as a symptom
+    # ("grid too narrow", a failing run or a ZeroDivisionError)
+    nan, inf = float("nan"), float("inf")
+    for kwargs, name in (({"margin_efolds": 0.0}, "margin_efolds"),
+                         ({"margin_efolds": nan}, "margin_efolds"),
+                         ({"cfl": 2.0}, "cfl"),
+                         ({"cells_per_width": inf}, "cells_per_width"),
+                         ({"tau_max": nan}, "tau_max")):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            SolverSizing(**kwargs)
+    assert SolverSizing(tau_max=inf).tau_max == inf
+
+
+def test_omega_refuses_infinite_window():
+    with pytest.raises(ValidationError, match="t_final"):
+        OmegaSpec(1.0, float("inf"))
+    with pytest.raises(ValidationError, match="t_samples"):
+        OmegaSpec(1.0, 2.0, t_samples=1)
+
+
+@pytest.mark.parametrize("alphas", [[0.4, float("nan"), 0.1],
+                                    [float("inf"), 0.2, 0.1],
+                                    [0.4, 0.2, float("nan")]])
+def test_sweep_refuses_non_finite_alphas(shock, law, omega, alphas):
+    with pytest.raises(ValidationError, match="alphas"):
+        alpha_sweep(shock, law, alphas, omega, include_full=False)

@@ -315,3 +315,29 @@ def test_run_validation(law):
         run(state, 1.0, cfl=1.5)
     with pytest.raises(ValidationError):
         run(state, 1.0, observe_every=-1.0)
+
+
+def test_run_refuses_non_finite_times(law):
+    # NaN and inf used to slip past every comparison and return the start
+    # state after 0 steps
+    grid = Grid1D(y_min=-5.0, y_max=5.0, n_cells=64)
+    state = init_constant(grid, 1.0, 0.0, 0.1, law)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="tau_end"):
+            run(state, bad)
+    with pytest.raises(ValidationError, match="observe_every"):
+        run(state, 0.1, observer=lambda s: None, observe_every=float("nan"))
+    with pytest.raises(ValidationError, match="max_dtau"):
+        run(state, 0.1, max_dtau=float("nan"))
+    # an infinite interval stays legal: one observation, at the end
+    seen = []
+    final, _ = run(state, 0.1, observer=seen.append,
+                   observe_every=float("inf"))
+    assert [s.tau for s in seen] == [final.tau] and final.tau == 0.1
+
+
+def test_grid_refuses_infinite_bounds():
+    with pytest.raises(ValidationError, match="y_max must be finite"):
+        Grid1D(-70.0, float("inf"), 400)
+    with pytest.raises(ValidationError, match="y_min must be finite"):
+        Grid1D(-float("inf"), 52.0, 400)

@@ -251,3 +251,20 @@ def test_readme_domain_never_blames_the_caller(gamma, log_delta, log_alpha):
     gap = U - (shock.u_minus - shock.s * (V - shock.v_minus))
     assert np.max(np.abs(gap)) <= 10.0 * prof.tol
     assert np.array_equal(prof.eval_V(prof.xi_grid), V)
+
+
+def test_profile_refusals_name_the_argument(shock, law):
+    nan, inf = float("nan"), float("inf")
+    for kwargs, name in (({"tol": nan}, "tol"), ({"tol": inf}, "tol"),
+                         ({"span": nan}, "span"), ({"span": inf}, "span")):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            compute_profile(shock, 0.1, law, **kwargs)
+
+
+def test_tol_swallowing_the_jump_blames_tol(shock, law):
+    # delta = 0.2: from tol = delta/4 = 0.05 on, the tail cutoffs meet at
+    # the midpoint; no normalization was passed, so none is blamed
+    with pytest.raises(ValidationError, match=r"tol must be below delta/4"):
+        compute_profile(shock, 0.1, law, tol=0.06)
+    with pytest.raises(ValidationError, match="tol"):
+        compute_profile(shock, 0.1, law, tol=0.05)
