@@ -49,7 +49,6 @@ class RunConfig:
     u_minus: float = 0.0
     alpha: float = 0.1
     tol: float = 1e-10
-    span: float = 0.0            # 0 picks the automatic span
     n: int = 4001
     y_min: float = -70.0
     y_max: float = 52.0
@@ -121,7 +120,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"key {key}: {msg}")
     try:
         _law_and_shock(cfg)
-        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.span or None, cfg.n)
+        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.n)
         ls.Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
         ls._check_run_args(cfg.cfl, 0.0, cfg.tau_end, cfg.observe_every)
         _sweep_specs(cfg)
@@ -181,10 +180,9 @@ def _law_and_shock(x):
 
 
 def _profile(x):
-    # x as above; a span of 0 asks for the automatic grid
+    # x as above
     law, shock = _law_and_shock(x)
-    return sp.compute_profile(shock, x.alpha, law, tol=x.tol,
-                              span=x.span or None, n=x.n)
+    return sp.compute_profile(shock, x.alpha, law, tol=x.tol, n=x.n)
 
 
 def _sweep_specs(cfg: RunConfig):
@@ -254,7 +252,6 @@ def cmd_profile(args) -> int:
         "lambda_plus": profile.lambda_plus,
         "normalization": profile.normalization,
         "residual": residual,
-        "span_warning": profile.span_warning,
         "properties": asdict(report),
     }, sidecar)
     print(f"wrote {out} and {sidecar}")
@@ -386,8 +383,7 @@ def cmd_selftest(args) -> int:
     emit_json({"residual": residual, "lambda_minus": profile.lambda_minus,
                "lambda_plus": profile.lambda_plus,
                "rate_rel_err_left": report.rate_rel_err_left,
-               "rate_rel_err_right": report.rate_rel_err_right,
-               "span_warning": profile.span_warning},
+               "rate_rel_err_right": report.rate_rel_err_right},
               out_dir / "profile.json")
 
     grid = ls.Grid1D(y_min=-70.0, y_max=52.0, n_cells=600)
@@ -454,7 +450,6 @@ def _build_parser():
     p = sub.add_parser("profile", parents=[states],
                        help="compute a traveling-wave profile")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--span", type=float, default=RunConfig.span)
     p.add_argument("--n", type=int, default=RunConfig.n)
     p.add_argument("--tol", type=float, default=RunConfig.tol)
     p.add_argument("--out", required=True)

@@ -10,6 +10,7 @@ the tail model error ~ C * exp(-c/alpha) and reports monotonicity.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class SolverSizing:
     margin_efolds: float = 20.0
     cfl: float = 0.4
     tau_max: float = 200.0
-    profile_tol: float = 1e-12
+    profile_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self):
         if not 20.0 <= self.cells_per_width < np.inf:

@@ -100,7 +100,7 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
     s**2 = (p(v_plus) - p(v_minus)) / (v_minus - v_plus) and the downstream
     velocity follows from u_plus = u_minus - s*(v_plus - v_minus).
 
-    Raises ValidationError unless finite with v_minus > v_plus > 0.
+    Raises ValidationError unless v_minus > v_plus > 0, u_minus and s finite.
     """
     if not np.isfinite(u_minus):
         raise ValidationError("u_minus must be finite")
@@ -111,9 +111,12 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
             f"v_minus must be finite and exceed v_plus, got v_minus={v_minus}, "
             f"v_plus={v_plus}: not a 1-shock, which requires v_minus > v_plus")
 
-    p_m = pressure(v_minus, law)
-    p_p = pressure(v_plus, law)
-    s = -np.sqrt((p_p - p_m) / (v_minus - v_plus))
+    with np.errstate(over="ignore", invalid="ignore"):  # tiny v_plus
+        s = -np.sqrt((pressure(v_plus, law) - pressure(v_minus, law))
+                     / (v_minus - v_plus))
+    if not np.isfinite(s):
+        raise ValidationError(f"v_plus {v_plus} is too small for gamma "
+                              f"{law.gamma}: the shock speed overflows")
     u_plus = u_minus - s * (v_plus - v_minus)
     return ShockData(v_minus=float(v_minus), v_plus=float(v_plus),
                      u_minus=float(u_minus), u_plus=float(u_plus),

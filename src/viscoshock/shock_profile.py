@@ -142,7 +142,6 @@ class ViscousProfile:
     tol: float
     xi_cut_left: float
     xi_cut_right: float
-    span_warning: bool
     law: PressureLaw = field(repr=False)
     _interp: PchipInterpolator = field(repr=False)
     _tails: tuple = field(repr=False)
@@ -192,7 +191,7 @@ def _auto_grid(cut_l, cut_r, n):
     return np.arange(-k_left, n - k_left) * h
 
 
-def _check_profile_args(alpha, tol, span, n):
+def _check_profile_args(alpha, tol, n):
     # compute_profile's shock-free domain; NaN fails every comparison
     if not 0.0 < alpha < math.inf:
         raise ValidationError("alpha must be positive and finite")
@@ -200,15 +199,18 @@ def _check_profile_args(alpha, tol, span, n):
         raise ValidationError("tol must be positive and finite")
     if n < 33:
         raise ValidationError("n must be at least 33")
-    if span is not None and not 0.0 < span < math.inf:
-        raise ValidationError("span must be positive and finite")
 
 
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
-                    tol: float = 1e-10, span: float | None = None,
-                    n: int = 4001,
+                    tol: float = 1e-10, n: int = 4001,
                     normalization: float | None = None) -> ViscousProfile:
     """Integrate the profile ODE and sample it on a uniform grid.
+
+    The ODE runs from xi = 0 out to each side's tail cutoff, where the
+    wave is within eps_tail of that end state; each side reaches as far
+    as its own tail rate needs.  The n uniform samples cover
+    [xi_cut_left, xi_cut_right], with a node at xi = 0 and exactly one
+    node on or past each cutoff, where the linearised tail takes over.
 
     Parameters
     ----------
@@ -216,21 +218,15 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     alpha : viscosity exponent, positive and finite.
     tol : integrator tolerance (relative and absolute), in (0, delta/4);
         also sets the tail cutoff eps_tail = max(tol, 1e-10*delta).
-    span : None (the default) sizes each side of the grid by its own
-        tail: the n nodes cover [xi_cut_left, xi_cut_right] with one
-        node past each cutoff and one node at xi = 0.  A given span,
-        positive and finite, fixes the grid to [-span, span] instead.
-        If that grid ends before a cutoff is reached, the result carries
-        ``span_warning=True`` and the tail starts at the grid edge,
-        slightly less accurately.
-    n : number of grid samples, at least 33.  The automatic grid has a node
-        at the normalisation point xi = 0; a grid of given span has one
-        when n is odd.
+    n : number of grid samples, at least 33.
     normalization : volume at xi = 0; defaults to the midpoint of the
         end states.  The wave is unique up to translation, so this only
         fixes the phase.
+
+    Raises NumericalError if the integration fails or the samples are
+    not strictly monotone inside the end states (weak shocks).
     """
-    _check_profile_args(alpha, tol, span, n)
+    _check_profile_args(alpha, tol, n)
     vp, vm = shock.v_plus, shock.v_minus
     delta = shock.delta
     if not tol < 0.25 * delta:   # else the tail cutoffs swallow the jump
@@ -246,56 +242,33 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         # a trial stage may step past an end state, where the slope is 0
         return _rhs_unchecked(min(max(V[0], vp), vm), shock, alpha, law)
 
-    def hit_right(xi, V):
-        return V[0] - (vp + eps_tail)
-    hit_right.terminal = True
-
-    def hit_left(xi, V):
-        return V[0] - (vm - eps_tail)
-    hit_left.terminal = True
-
-    bound_f = span if span is not None else _tail_cut_bound(delta, eps_tail, -lam_p)
-    bound_b = span if span is not None else _tail_cut_bound(delta, eps_tail, lam_m)
-
-    sol_f = solve_ivp(rhs, [0.0, bound_f], [v0], method="DOP853",
-                      rtol=tol, atol=tol, dense_output=True,
-                      events=hit_right)
-    sol_b = solve_ivp(rhs, [0.0, -bound_b], [v0], method="DOP853",
-                      rtol=tol, atol=tol, dense_output=True,
-                      events=hit_left)
-    if not (sol_f.success and sol_b.success):
-        raise NumericalError(
-            f"profile integration failed: {sol_f.message} / {sol_b.message}")
+    # forward to the right cutoff, then back to the left one
+    sols = []
+    for end, rate, way in ((vp, lam_p, 1.0), (vm, lam_m, -1.0)):
+        def hit(xi, V, level=end + way * eps_tail):
+            return V[0] - level
+        hit.terminal = True
+        bound = way * _tail_cut_bound(delta, eps_tail, abs(rate))
+        sols.append(solve_ivp(rhs, [0.0, bound], [v0], method="DOP853",
+                              rtol=tol, atol=tol, dense_output=True,
+                              events=hit))
+    if not all(sol.success for sol in sols):
+        raise NumericalError("profile integration failed: "
+                             + " / ".join(sol.message for sol in sols))
 
     # the outermost ODE sample on each side anchors that side's tail
-    tails = ((float(sol_b.t[-1]), float(sol_b.y[0, -1]), lam_m),
-             (float(sol_f.t[-1]), float(sol_f.y[0, -1]), lam_p))
-    span_warning = not (sol_f.t_events[0].size and sol_b.t_events[0].size)
-
-    if span is None:
-        xi = _auto_grid(tails[0][0], tails[1][0], n)
-    else:
-        xi = np.linspace(-span, span, n)
-        if n % 2 == 1:
-            xi[n // 2] = 0.0
+    tails = tuple((float(sol.t[-1]), float(sol.y[0, -1]), rate)
+                  for sol, rate in ((sols[1], lam_m), (sols[0], lam_p)))
+    xi = _auto_grid(tails[0][0], tails[1][0], n)
 
     def ode(x):
         out = np.full(x.shape, v0)
-        fwd, bwd = x > 0.0, x < 0.0
-        out[fwd] = sol_f.sol(x[fwd])[0]
-        out[bwd] = sol_b.sol(x[bwd])[0]
+        for sol, side in zip(sols, (x > 0.0, x < 0.0)):
+            out[side] = sol.sol(x[side])[0]
         return out
 
     V = _join(xi, ode, shock, tails)
-
     if np.any(V <= vp) or np.any(V >= vm) or np.any(np.diff(V) >= 0.0):
-        flat = np.where(np.diff(V) >= 0.0)[0]
-        amp = np.minimum(np.abs(V - vp), np.abs(V - vm))
-        if flat.size and np.all(amp[flat] < 1e-12 * delta):
-            # consecutive tail samples collapse below double resolution
-            raise ValidationError(
-                "span too wide: tail differences fall below double "
-                "precision, reduce span (or rely on the automatic one)")
         raise NumericalError("profile samples violate strict monotone bounds")
 
     U = _first_integral(shock, V)
@@ -308,7 +281,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         lambda_minus=lam_m, lambda_plus=lam_p, normalization=v0,
         eps_tail=eps_tail, tol=tol,
         xi_cut_left=tails[0][0], xi_cut_right=tails[1][0],
-        span_warning=span_warning, law=law, _interp=interp, _tails=tails)
+        law=law, _interp=interp, _tails=tails)
 
 
 def residual_on_samples(xi, V, U, s: float, alpha: float, law: PressureLaw):

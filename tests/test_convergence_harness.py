@@ -183,6 +183,13 @@ def test_sizing_refuses_at_construction():
     assert SolverSizing(tau_max=inf).tau_max == inf
 
 
+def test_profile_tol_is_a_constant():
+    # no caller set it, and a set value was never checked
+    assert SolverSizing().profile_tol == 1e-12
+    with pytest.raises(TypeError):
+        SolverSizing(profile_tol=float("nan"))
+
+
 def test_omega_refuses_infinite_window():
     with pytest.raises(ValidationError, match="t_final"):
         OmegaSpec(1.0, float("inf"))

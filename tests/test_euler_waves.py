@@ -57,6 +57,15 @@ def test_build_shock_rejects_degenerate(law):
         build_shock(1.2, -1.0, 0.0, law)
 
 
+@pytest.mark.filterwarnings("error")
+def test_build_shock_refuses_overflowing_jump(law):
+    # p(v_plus) overflows, or the quotient of the jump relation does;
+    # both used to return s = -inf after a RuntimeWarning
+    for v_minus, v_plus in ((1.2, 1e-200), (1e-150 * (1.0 + 1e-14), 1e-150)):
+        with pytest.raises(ValidationError, match="^v_plus "):
+            build_shock(v_minus, v_plus, 0.0, law)
+
+
 def test_rh_residuals_close(shock, law):
     r1, r2 = rh_residuals(shock, law)
     assert abs(r1) <= 1e-12

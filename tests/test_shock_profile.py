@@ -68,7 +68,6 @@ def test_profile_normalization_and_bounds(profile, shock):
 def test_profile_reaches_end_states(profile, shock):
     assert abs(profile.V[0] - shock.v_minus) < 1e-9
     assert abs(profile.V[-1] - shock.v_plus) < 1e-9
-    assert not profile.span_warning
 
 
 def test_first_integral_identity(profile, shock):
@@ -77,13 +76,10 @@ def test_first_integral_identity(profile, shock):
 
 
 def test_residual_refinement_second_order(shock, law):
-    # fixed domain across the nested grids: reuse the automatic span
-    base = compute_profile(shock, 0.1, law, tol=1e-12, n=1001)
-    span = float(base.xi_grid[-1])
-    residuals = [profile_residual(base)]
-    for n in (2001, 4001):
-        prof = compute_profile(shock, 0.1, law, tol=1e-12, span=span, n=n)
-        residuals.append(profile_residual(prof))
+    # the automatic grid covers the same cutoffs at every n
+    residuals = [profile_residual(compute_profile(shock, 0.1, law,
+                                                  tol=1e-12, n=n))
+                 for n in (1001, 2001, 4001)]
     for coarse, fine in zip(residuals, residuals[1:]):
         assert 3.2 <= coarse / fine <= 4.8
 
@@ -151,12 +147,6 @@ def test_rate_scaling_with_strength(law):
             ratios.append(lam_m * alpha / sh.delta)
             ratios.append(-lam_p * alpha / sh.delta)
     assert max(ratios) / min(ratios) < 1.6
-
-
-def test_span_warning_flag(shock, law):
-    prof = compute_profile(shock, 0.1, law, tol=1e-10, span=1.0, n=1001)
-    assert prof.span_warning
-    assert abs(prof.V[-1] - shock.v_plus) > prof.eps_tail
 
 
 def test_compute_profile_validation(shock, law):
@@ -237,8 +227,8 @@ def test_automatic_grid_layout(profile):
        log_delta=st.floats(math.log(1e-6), math.log(5.0)),
        log_alpha=st.floats(math.log(1e-3), math.log(5.0)))
 def test_readme_domain_never_blames_the_caller(gamma, log_delta, log_alpha):
-    # without a span, a profile is either right or a NumericalError (weak
-    # shocks, whose samples tie at the integrator's tolerance)
+    # a profile is either right or a NumericalError (weak shocks, whose
+    # samples tie at the integrator's tolerance)
     law = PressureLaw(gamma)
     shock = build_shock(1.0 + math.exp(log_delta), 1.0, 0.0, law)
     try:
@@ -255,8 +245,7 @@ def test_readme_domain_never_blames_the_caller(gamma, log_delta, log_alpha):
 
 def test_profile_refusals_name_the_argument(shock, law):
     nan, inf = float("nan"), float("inf")
-    for kwargs, name in (({"tol": nan}, "tol"), ({"tol": inf}, "tol"),
-                         ({"span": nan}, "span"), ({"span": inf}, "span")):
+    for kwargs, name in (({"tol": nan}, "tol"), ({"tol": inf}, "tol")):
         with pytest.raises(ValidationError, match=f"^{name} "):
             compute_profile(shock, 0.1, law, **kwargs)
 
