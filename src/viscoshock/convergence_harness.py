@@ -24,7 +24,6 @@ __all__ = [
     "SolverSizing",
     "FullErrorResult",
     "SweepResult",
-    "omega_positions",
     "profile_only_error",
     "full_error",
     "alpha_sweep",
@@ -105,8 +104,8 @@ def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
     return float(np.max((1.0 + abs(profile.shock.s)) * np.abs(V - ref)))
 
 
-def omega_positions(shock: ShockData, omega: OmegaSpec, t: float,
-                    x_lo: float, x_hi: float) -> np.ndarray:
+def _omega_positions(shock: ShockData, omega: OmegaSpec, t: float,
+                     x_lo: float, x_hi: float) -> np.ndarray:
     """Sample positions at time t: a uniform lattice over [x_lo, x_hi]
     plus the two points exactly at distance h from the ray, everything
     inside the strip |x - s*t| < h excluded."""
@@ -174,8 +173,8 @@ def _full_error(profile, omega, sizing):
     err = 0.0
     # read each snapshot at its lattice time: alpha*snap.tau can round below h
     for t, snap in zip(t_lattice, snaps):
-        xs = omega_positions(shock, omega, t,
-                             alpha * grid.y_min, alpha * grid.y_max)
+        xs = _omega_positions(shock, omega, t,
+                              alpha * grid.y_min, alpha * grid.y_max)
         ys = xs / alpha
         v_num = np.interp(ys, yc, snap.v)
         u_num = np.interp(ys, yi, snap.u)

@@ -28,15 +28,8 @@ from .shock_profile import ViscousProfile, _first_integral
 __all__ = [
     "PerturbationFields",
     "EnergyReport",
-    "RemainderSample",
-    "diff1",
-    "diff2",
-    "l2_sq",
-    "sobolev_triple",
     "perturbation",
-    "sobolev_norms",
     "energy_snapshot",
-    "quadratic_remainder",
     "longtime_decay_check",
 ]
 
@@ -75,13 +68,6 @@ def _sobolev_sq(f, dy):
     return (l2_sq(f, dy), l2_sq(diff1(f, dy), dy), l2_sq(d2, dy)), d2
 
 
-def sobolev_triple(f: np.ndarray, dy: float):
-    """(L2, H1, H2) norms of a sampled function, derivatives by
-    finite differences.  Needs at least 5 samples."""
-    (a, b, c), _ = _sobolev_sq(f, dy)
-    return np.sqrt(a), np.sqrt(a + b), np.sqrt(a + b + c)
-
-
 @dataclass(frozen=True)
 class PerturbationFields:
     """Deviations from the traveling wave and their antiderivatives.
@@ -92,13 +78,10 @@ class PerturbationFields:
     at the first node by construction.
     """
 
-    y_centers: np.ndarray
-    y_interfaces: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     phi_cum: np.ndarray
     psi_cum: np.ndarray
-    tau: float
     dy: float
 
 
@@ -126,10 +109,8 @@ def _against_wave(state, profile):
     phi_cum = np.concatenate(([0.0], np.cumsum(phi) * dy))
     psi_cum = np.concatenate(([0.0],
                               np.cumsum(0.5 * (psi[1:] + psi[:-1])) * dy))
-    fields = PerturbationFields(y_centers=grid.centers(),
-                                y_interfaces=grid.interfaces(), phi=phi,
-                                psi=psi, phi_cum=phi_cum, psi_cum=psi_cum,
-                                tau=state.tau, dy=dy)
+    fields = PerturbationFields(phi=phi, psi=psi, phi_cum=phi_cum,
+                                psi_cum=psi_cum, dy=dy)
     return fields, v_ref, du_ref
 
 
@@ -138,39 +119,15 @@ def perturbation(state: SolverState, profile: ViscousProfile) -> PerturbationFie
     return _against_wave(state, profile)[0]
 
 
-def sobolev_norms(fields: PerturbationFields):
-    """(L2, H1, H2) norms of both antiderivatives: returns two triples."""
-    return (sobolev_triple(fields.phi_cum, fields.dy),
-            sobolev_triple(fields.psi_cum, fields.dy))
-
-
-@dataclass(frozen=True)
-class RemainderSample:
-    """Quadratic remainder of the linearised momentum balance.
-
-    values holds the pointwise remainder on the interface grid; majorant
-    is the computable pointwise bound
-    phi**2 + |phi * psi_y| + |phi * dU_ref/dy|.  margin is the worst
-    excess of |values| over the majorant (negative when the bound holds
-    with constant one); ratio_max calibrates the smallest constant that
-    would make the bound hold on this snapshot.
-    """
-
-    y: np.ndarray
-    values: np.ndarray
-    majorant: np.ndarray
-    max_abs: float
-    ratio_max: float
-    margin: float
-
-
-def quadratic_remainder(state: SolverState,
-                        profile: ViscousProfile) -> RemainderSample:
-    """Evaluate the nonlinear remainder and its majorant pointwise."""
-    return _remainder(state, *_against_wave(state, profile))
-
-
 def _remainder(state, fields, v_ref, du_ref):
+    """Quadratic remainder of the linearised momentum balance on the
+    interface grid, against its computable pointwise majorant
+    phi**2 + |phi * psi_y| + |phi * dU_ref/dy|.
+
+    Returns (sup of |remainder|, margin): margin is the worst excess of
+    |remainder| over the majorant, negative when the bound holds with
+    constant one.
+    """
     # Volume deviation at the faces by averaging the center deviations,
     # so prepared data gives exact zeros rather than O(dy^2) residue.
     phi_c = fields.phi
@@ -187,13 +144,8 @@ def _remainder(state, fields, v_ref, du_ref):
     values = -taylor + visc_gap * (psi_y + du_ref)
 
     majorant = phi ** 2 + np.abs(phi * psi_y) + np.abs(phi * du_ref)
-    max_abs = float(np.max(np.abs(values)))
-    mask = majorant > 0.0
-    ratio_max = float(np.max(np.abs(values[mask]) / majorant[mask])) if np.any(mask) else 0.0
-    margin = float(np.max(np.abs(values) - majorant))
-    return RemainderSample(y=fields.y_interfaces, values=values,
-                           majorant=majorant, max_abs=max_abs,
-                           ratio_max=ratio_max, margin=margin)
+    size = np.abs(values)
+    return float(np.max(size)), float(np.max(size - majorant))
 
 
 @dataclass
@@ -218,7 +170,6 @@ class EnergyReport:
     grad2_sq_series: list = field(default_factory=list)
     remainder_max: list = field(default_factory=list)
     remainder_margin: list = field(default_factory=list)
-    remainder_ratio: list = field(default_factory=list)
     _last_integrands: tuple | None = field(default=None, repr=False)
 
 
@@ -257,7 +208,7 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     grad_sq = phi1 + psi1
     grad2_sq = phi2 + psi2
 
-    rem = _remainder(state, fields, v_ref, du_ref)
+    rem_max, rem_margin = _remainder(state, fields, v_ref, du_ref)
 
     report.tau_series.append(state.tau)
     prev_peak = report.peak_h2_sq[-1] if report.peak_h2_sq else 0.0
@@ -270,9 +221,8 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     report.diss_psi.append(acc_s)
     report.grad_sq_series.append(grad_sq)
     report.grad2_sq_series.append(grad2_sq)
-    report.remainder_max.append(rem.max_abs)
-    report.remainder_margin.append(rem.margin)
-    report.remainder_ratio.append(rem.ratio_max)
+    report.remainder_max.append(rem_max)
+    report.remainder_margin.append(rem_margin)
     return report
 
 

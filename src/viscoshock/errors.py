@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ValidationError -> 1,
 NumericalError -> 2, I/O failures (OSError) -> 3.
 """
 
+__all__ = ["ViscoshockError", "ValidationError", "NumericalError"]
+
 
 class ViscoshockError(Exception):
     """Base class for all package errors."""

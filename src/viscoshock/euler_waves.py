@@ -20,7 +20,6 @@ __all__ = [
     "LaxReport",
     "pressure",
     "d_pressure",
-    "dd_pressure",
     "lambda1",
     "build_shock",
     "rh_residuals",
@@ -64,12 +63,6 @@ def d_pressure(v, law: PressureLaw):
     return -law.gamma * v ** (-law.gamma - 1.0)
 
 
-def dd_pressure(v, law: PressureLaw):
-    """p''(v) = gamma*(gamma+1) * v**(-gamma-2), strictly positive."""
-    v = _check_positive_volume(v)
-    return law.gamma * (law.gamma + 1.0) * v ** (-law.gamma - 2.0)
-
-
 def lambda1(v, law: PressureLaw):
     """First characteristic speed -sqrt(-p'(v)) of the inviscid system."""
     return -np.sqrt(-d_pressure(v, law))
@@ -100,7 +93,8 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
     s**2 = (p(v_plus) - p(v_minus)) / (v_minus - v_plus) and the downstream
     velocity follows from u_plus = u_minus - s*(v_plus - v_minus).
 
-    Raises ValidationError unless v_minus > v_plus > 0, u_minus and s finite.
+    Raises ValidationError unless v_minus > v_plus > 0, u_minus, s and u_plus
+    finite.
     """
     if not np.isfinite(u_minus):
         raise ValidationError("u_minus must be finite")
@@ -117,7 +111,11 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
     if not np.isfinite(s):
         raise ValidationError(f"v_plus {v_plus} is too small for gamma "
                               f"{law.gamma}: the shock speed overflows")
-    u_plus = u_minus - s * (v_plus - v_minus)
+    with np.errstate(over="ignore"):  # huge |u_minus| and jump
+        u_plus = u_minus - s * (v_plus - v_minus)
+    if not np.isfinite(u_plus):
+        raise ValidationError(f"u_minus {u_minus} is too large for this jump: "
+                              "the downstream velocity u_plus overflows")
     return ShockData(v_minus=float(v_minus), v_plus=float(v_plus),
                      u_minus=float(u_minus), u_plus=float(u_plus),
                      s=float(s), delta=float(v_minus - v_plus))

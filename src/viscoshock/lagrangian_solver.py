@@ -39,7 +39,6 @@ __all__ = [
     "SolverState",
     "RunRecord",
     "init_state",
-    "init_constant",
     "step",
     "run",
     "step_flux_balance",
@@ -89,13 +88,8 @@ class SolverState:
     tau: float
     alpha: float
     law: PressureLaw
-    step_count: int = 0
     bc_u: tuple = (0.0, 0.0)
     shock: ShockData | None = field(default=None, repr=False)
-
-    def max_wave_speed(self) -> float:
-        v = _check_positive_volume(self.v)
-        return _wave_speed(float(np.min(v)), self.law.gamma)
 
 
 def _wave_speed(v_min, gamma):
@@ -140,20 +134,8 @@ def init_state(profile: ViscousProfile, grid: Grid1D) -> SolverState:
             "grid too narrow: wave tails exceed 1e-8*delta at the boundary")
     u = _first_integral(shock, v_face)
     return SolverState(grid=grid, v=_freeze(v), u=_freeze(u), tau=0.0,
-                       alpha=profile.alpha, law=profile.law, step_count=0,
+                       alpha=profile.alpha, law=profile.law,
                        bc_u=(float(u[0]), float(u[-1])), shock=shock)
-
-
-def init_constant(grid: Grid1D, v0: float, u0: float, alpha: float,
-                  law: PressureLaw) -> SolverState:
-    """Uniform state, handy for exactness and conservation tests."""
-    if v0 <= 0.0:
-        raise ValidationError("v0 must be positive")
-    v = np.full(grid.n_cells, float(v0))
-    u = np.full(grid.n_cells + 1, float(u0))
-    return SolverState(grid=grid, v=_freeze(v), u=_freeze(u), tau=0.0,
-                       alpha=alpha, law=law, step_count=0,
-                       bc_u=(float(u0), float(u0)))
 
 
 def _check_dtau(dtau):
@@ -222,8 +204,7 @@ def step(state: SolverState, dtau: float) -> SolverState:
                                       state.law.gamma, state.grid.dy, dtau)
     except NumericalError as exc:
         raise NumericalError(f"{exc} at tau={tau:.6g}") from exc
-    return replace(state, v=_freeze(v_new), u=_freeze(u_new), tau=tau,
-                   step_count=state.step_count + 1)
+    return replace(state, v=_freeze(v_new), u=_freeze(u_new), tau=tau)
 
 
 def step_flux_balance(before: SolverState, after: SolverState):
@@ -250,7 +231,6 @@ def step_flux_balance(before: SolverState, after: SolverState):
 class RunRecord:
     """Trajectory metadata collected by run()."""
 
-    observed_taus: list
     n_steps: int
     v_min: float
     v_max: float
@@ -316,8 +296,7 @@ def run(state: SolverState, tau_end: float, observer=None,
     v = _check_positive_volume(state.v)
 
     v_low = float(np.min(v))
-    record = RunRecord(observed_taus=[], n_steps=0, v_min=v_low,
-                       v_max=float(np.max(v)))
+    record = RunRecord(n_steps=0, v_min=v_low, v_max=float(np.max(v)))
     if tau_end <= state.tau + 1e-15:
         return state, record
 
@@ -325,7 +304,6 @@ def run(state: SolverState, tau_end: float, observer=None,
                        observe_at)
     u, tau, bc_u = state.u, state.tau, state.bc_u
     alpha, gamma, dy = state.alpha, state.law.gamma, state.grid.dy
-    first_step = state.step_count
     for i, target in enumerate(targets, 1):
         while tau < target - 1e-12 * max(1.0, target):
             dt = cfl * dy / _wave_speed(v_low, gamma)
@@ -344,9 +322,7 @@ def run(state: SolverState, tau_end: float, observer=None,
             record.v_min = min(record.v_min, v_low)
             record.v_max = max(record.v_max, v_high)
         if observer is not None or i == len(targets):
-            state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau,
-                            step_count=first_step + record.n_steps)
+            state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau)
             if observer is not None:
                 observer(state)
-        record.observed_taus.append(tau)
     return state, record

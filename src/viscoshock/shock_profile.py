@@ -33,11 +33,9 @@ from .euler_waves import PressureLaw, ShockData, d_pressure, pressure
 __all__ = [
     "ViscousProfile",
     "ProfilePropertyReport",
-    "reduced_rhs",
     "tail_rates",
     "compute_profile",
     "profile_residual",
-    "residual_on_samples",
     "rescaled_profile_eval",
     "verify_profile_properties",
 ]
@@ -51,22 +49,9 @@ def _chord_gap(V, shock, law):
             + V ** -law.gamma - shock.v_minus ** -law.gamma)
 
 
-def reduced_rhs(V, shock: ShockData, alpha: float, law: PressureLaw):
-    """Slope dV/dxi of the profile at volume V.
-
-    Strictly negative for v_plus < V < v_minus (the chord gap of a convex
-    pressure), zero at the end states themselves, domain error beyond.
-    """
-    V = np.asarray(V, dtype=float)
-    if np.any(V < shock.v_plus) or np.any(V > shock.v_minus):
-        raise ValidationError("V outside the interval [v_plus, v_minus]")
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
-    out = _rhs_unchecked(V, shock, alpha, law)
-    return float(out) if out.ndim == 0 else out
-
-
 def _rhs_unchecked(V, shock, alpha, law):
+    # dV/dxi at volume V: negative strictly between the end states and
+    # zero at them; callers keep V inside [v_plus, v_minus], alpha > 0
     return (_chord_gap(V, shock, law) * V ** (1.0 + alpha)
             / (alpha * abs(shock.s)))
 
@@ -169,10 +154,6 @@ class ViscousProfile:
         out[left] = self.lambda_minus * (V[left] - self.shock.v_minus)
         out[right] = self.lambda_plus * (V[right] - self.shock.v_plus)
         return out
-
-    def eval(self, xi):
-        V = self.eval_V(xi)
-        return V, _first_integral(self.shock, V)
 
 
 def _tail_cut_bound(delta, eps_tail, rate):
@@ -284,16 +265,16 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         law=law, _interp=interp, _tails=tails)
 
 
-def residual_on_samples(xi, V, U, s: float, alpha: float, law: PressureLaw):
-    """Max finite-difference residual of the traveling-wave system.
+def profile_residual(profile: ViscousProfile) -> float:
+    """Max finite-difference residual of the traveling-wave system on the
+    profile's own grid.
 
     Both equations are discretised at interior nodes with second-order
     stencils: centered first differences, and a compact flux form for the
     dissipative term so the whole residual refines at second order.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.size < 7:
-        raise ValidationError("need at least 7 samples (5 interior)")
+    xi, V, U = profile.xi_grid, profile.V, profile.U
+    s, alpha, law = profile.shock.s, profile.alpha, profile.law
     h = xi[1] - xi[0]
     dV = (V[2:] - V[:-2]) / (2.0 * h)
     dU = (U[2:] - U[:-2]) / (2.0 * h)
@@ -303,12 +284,6 @@ def residual_on_samples(xi, V, U, s: float, alpha: float, law: PressureLaw):
     flux = (U[1:] - U[:-1]) / h / half_v ** (1.0 + alpha)
     r2 = -s * dU + dp - alpha * (flux[1:] - flux[:-1]) / h
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-
-
-def profile_residual(profile: ViscousProfile) -> float:
-    """Residual of a computed profile on its own grid."""
-    return residual_on_samples(profile.xi_grid, profile.V, profile.U,
-                               profile.shock.s, profile.alpha, profile.law)
 
 
 def _phase(profile, y, tau):
@@ -325,7 +300,8 @@ def rescaled_profile_eval(profile: ViscousProfile, y, tau: float):
     unscaled coordinate alpha*(y - s*tau); evaluated there, the wave is
     an exact solution of the stretched system.
     """
-    return profile.eval(_phase(profile, y, tau))
+    V = profile.eval_V(_phase(profile, y, tau))
+    return V, _first_integral(profile.shock, V)
 
 
 @dataclass(frozen=True)

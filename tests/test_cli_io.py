@@ -49,6 +49,13 @@ def test_overflowing_jump_refused_by_key():
         parse_config("v_plus = 1e-200\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_velocity_refused_by_key():
+    with pytest.raises(ValidationError, match="^key u_minus: "):
+        parse_config("v_minus = 1.7e308\nv_plus = 1e-154\n"
+                     "u_minus = -1e308\n")
+
+
 def test_shock_ordering_cited():
     with pytest.raises(ValidationError, match="v_minus > v_plus"):
         parse_config("v_minus = 1.2\nv_plus = 1.5\n")

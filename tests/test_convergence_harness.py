@@ -4,7 +4,8 @@ from scipy.optimize import brentq
 
 from viscoshock import (OmegaSpec, SolverSizing, ValidationError, alpha_sweep,
                         compute_profile, convergence_harness, full_error,
-                        omega_positions, profile_only_error)
+                        profile_only_error)
+from viscoshock.convergence_harness import _omega_positions
 
 
 @pytest.fixture(scope="module")
@@ -21,12 +22,12 @@ def test_omega_validation():
 
 def test_omega_positions_exclude_strip(shock, omega):
     for t in (1.0, 1.5, 2.0):
-        xs = omega_positions(shock, omega, t, -4.0, 2.0)
+        xs = _omega_positions(shock, omega, t, -4.0, 2.0)
         assert np.all(np.abs(xs - shock.s * t) >= omega.h * (1 - 1e-12))
         # the extreme points at distance exactly h are present
         assert np.min(np.abs(np.abs(xs - shock.s * t) - omega.h)) < 1e-9
     with pytest.raises(ValidationError):
-        omega_positions(shock, omega, 0.5, -4.0, 2.0)
+        _omega_positions(shock, omega, 0.5, -4.0, 2.0)
 
 
 def test_profile_error_vanishes_far_out(shock, law):

@@ -5,10 +5,14 @@ import pytest
 
 from viscoshock import (EnergyReport, Grid1D, ValidationError, ViscousProfile,
                         energy_snapshot, init_state, longtime_decay_check,
-                        perturbation, quadratic_remainder,
-                        rescaled_profile_eval, run, sobolev_norms,
-                        sobolev_triple)
-from viscoshock.energy_diagnostics import diff1, l2_sq
+                        perturbation, rescaled_profile_eval, run)
+from viscoshock.energy_diagnostics import _sobolev_sq, diff1, l2_sq
+
+
+def sobolev_triple(f, dy):
+    # (L2, H1, H2) norms from the squared norms energy_snapshot sums
+    a, b, c = _sobolev_sq(f, dy)[0]
+    return np.sqrt(a), np.sqrt(a + b), np.sqrt(a + b + c)
 
 
 def _bumped(state, profile, amp, center=25.0, width=2.0, bump_v=False):
@@ -125,7 +129,7 @@ def test_accumulators_monotone(prepared, reference_profile):
     for series in (report.diss_weighted, report.diss_phi, report.diss_psi,
                    report.peak_h2_sq):
         assert all(b >= a for a, b in zip(series, series[1:]))
-    assert all(np.isfinite(report.remainder_ratio))
+    assert all(np.isfinite(report.remainder_margin))
 
 
 def test_zero_mass_throughout_run(prepared, reference_profile, grid):
@@ -140,31 +144,25 @@ def test_zero_mass_throughout_run(prepared, reference_profile, grid):
     assert max(totals) <= 1e-10 * width
 
 
-def test_remainder_zero_without_perturbation(prepared, reference_profile):
-    rem = quadratic_remainder(prepared, reference_profile)
-    assert rem.max_abs == 0.0
-    assert rem.ratio_max == 0.0
-
-
 def test_remainder_quadratic_in_amplitude(prepared, reference_profile):
     # far from the wave core the remainder is pure second order: halving
     # the injected amplitude quarters it
     big = _bumped(prepared, reference_profile, 4e-3, center=30.0, bump_v=True)
     small = _bumped(prepared, reference_profile, 2e-3, center=30.0, bump_v=True)
-    q_big = quadratic_remainder(big, reference_profile).max_abs
-    q_small = quadratic_remainder(small, reference_profile).max_abs
+    q_big = energy_snapshot(big, reference_profile,
+                            EnergyReport()).remainder_max[0]
+    q_small = energy_snapshot(small, reference_profile,
+                              EnergyReport()).remainder_max[0]
     assert 3.5 <= q_big / q_small <= 4.5
 
 
 def test_remainder_majorant_bounded(prepared, reference_profile):
     state = _bumped(prepared, reference_profile, 2e-4, bump_v=True)
-    ratios = []
-
-    def watch(s):
-        ratios.append(quadratic_remainder(s, reference_profile).ratio_max)
-
-    run(state, 1.0, observer=watch, observe_every=0.25, cfl=0.4)
-    assert all(np.isfinite(r) for r in ratios)
+    report = EnergyReport()
+    run(state, 1.0,
+        observer=lambda s: energy_snapshot(s, reference_profile, report),
+        observe_every=0.25, cfl=0.4)
+    assert all(np.isfinite(m) for m in report.remainder_margin)
 
 
 def test_snapshots_must_advance(prepared, reference_profile):
@@ -208,8 +206,8 @@ def test_snapshot_shares_one_wave_evaluation(prepared, reference_profile,
                                      state.grid.interfaces(), state.tau)
     assert np.array_equal(fields.phi, state.v - v_ref)
     assert np.array_equal(fields.psi, state.u - u_ref)
-    rem = quadratic_remainder(state, reference_profile)
-    phi_n, psi_n = sobolev_norms(fields)
+    phi_n = sobolev_triple(fields.phi_cum, fields.dy)
+    psi_n = sobolev_triple(fields.psi_cum, fields.dy)
 
     calls = []
     eval_V = ViscousProfile.eval_V
@@ -221,9 +219,6 @@ def test_snapshot_shares_one_wave_evaluation(prepared, reference_profile,
     monkeypatch.setattr(ViscousProfile, "eval_V", counted)
     report = energy_snapshot(state, reference_profile, EnergyReport())
     assert calls == [2 * state.grid.n_cells + 1]
-    assert report.remainder_max == [rem.max_abs]
-    assert report.remainder_margin == [rem.margin]
-    assert report.remainder_ratio == [rem.ratio_max]
     for k, series in enumerate((report.l2_sq_series, report.h1_sq_series,
                                 report.h2_sq_series)):
         assert series[0] == pytest.approx(phi_n[k] ** 2 + psi_n[k] ** 2,
@@ -233,6 +228,7 @@ def test_snapshot_shares_one_wave_evaluation(prepared, reference_profile,
 def test_sobolev_norms_of_fields(prepared, reference_profile):
     state = _bumped(prepared, reference_profile, 1e-3)
     fields = perturbation(state, reference_profile)
-    phi_n, psi_n = sobolev_norms(fields)
+    phi_n = sobolev_triple(fields.phi_cum, fields.dy)
+    psi_n = sobolev_triple(fields.psi_cum, fields.dy)
     assert phi_n[0] >= 0.0
     assert psi_n[2] >= psi_n[1] >= psi_n[0] > 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from viscoshock import (PressureLaw, ShockData, ValidationError, build_shock,
-                        check_lax, d_pressure, dd_pressure, lambda1, pressure,
+                        check_lax, d_pressure, lambda1, pressure,
                         rh_residuals, riemann_shock_eval)
 
 
@@ -17,7 +17,7 @@ def test_pressure_values():
 def test_pressure_sign_conditions(law):
     v = np.linspace(0.2, 5.0, 200)
     assert np.all(d_pressure(v, law) < 0.0)
-    assert np.all(dd_pressure(v, law) > 0.0)
+    assert np.all(np.diff(d_pressure(v, law)) > 0.0)   # p convex
 
 
 def test_pressure_domain_errors(law):
@@ -64,6 +64,14 @@ def test_build_shock_refuses_overflowing_jump(law):
     for v_minus, v_plus in ((1.2, 1e-200), (1e-150 * (1.0 + 1e-14), 1e-150)):
         with pytest.raises(ValidationError, match="^v_plus "):
             build_shock(v_minus, v_plus, 0.0, law)
+
+
+@pytest.mark.filterwarnings("error")
+def test_build_shock_refuses_overflowing_velocity(law):
+    # the speed is finite, but u_minus - s*(v_plus - v_minus) overflows;
+    # this used to return u_plus = -inf after a RuntimeWarning
+    with pytest.raises(ValidationError, match="^u_minus "):
+        build_shock(1.7e308, 1e-154, -1e308, law)
 
 
 def test_rh_residuals_close(shock, law):

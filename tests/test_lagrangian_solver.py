@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from viscoshock import (Grid1D, NumericalError, RunRecord, ValidationError,
-                        ViscousProfile, d_pressure, init_constant, init_state,
-                        rescaled_profile_eval, run, step, step_flux_balance)
+from viscoshock import (Grid1D, NumericalError, RunRecord, SolverState,
+                        ValidationError, ViscousProfile, d_pressure,
+                        init_state, rescaled_profile_eval, run, step,
+                        step_flux_balance)
+from viscoshock.lagrangian_solver import _wave_speed
+
+
+def init_constant(grid, v0, u0, alpha, law):
+    # uniform state with the boundary velocities pinned at u0
+    v = np.full(grid.n_cells, float(v0))
+    u = np.full(grid.n_cells + 1, float(u0))
+    for arr in (v, u):
+        arr.setflags(write=False)
+    return SolverState(grid=grid, v=v, u=u, tau=0.0, alpha=alpha, law=law,
+                       bc_u=(float(u0), float(u0)))
 
 
 def _perturbed_wave(profile, n_cells):
@@ -137,7 +149,8 @@ def test_step_blowup_detected(law):
 def test_step_matches_banded_reference(reference_profile, n_cells):
     state = _perturbed_wave(reference_profile, n_cells)
     for dtau in (0.5 * state.grid.dy ** 2,
-                 0.4 * state.grid.dy / state.max_wave_speed()):
+                 0.4 * state.grid.dy / _wave_speed(state.v.min(),
+                                                   state.law.gamma)):
         v_ref, u_ref = _banded_reference_step(state, dtau)
         nxt = step(state, dtau)
         assert np.max(np.abs(nxt.v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
@@ -171,7 +184,8 @@ def test_max_wave_speed_matches_pointwise_maximum(reference_profile):
         state = _perturbed_wave(reference_profile, n_cells)
         for s in (state, step(state, 0.05)):
             seed = np.sqrt(np.max(-d_pressure(s.v, s.law)))
-            assert s.max_wave_speed() == pytest.approx(seed, rel=1e-14)
+            got = _wave_speed(s.v.min(), s.law.gamma)
+            assert got == pytest.approx(seed, rel=1e-14)
 
 
 def test_step_rejects_tiny_dtau(shock, law):
@@ -221,9 +235,7 @@ def test_run_from_nonzero_start_stops_at_tau_end(law):
     final, record = run(state, 8.0, observer=lambda s: taus.append(s.tau),
                         observe_every=1.0, cfl=0.4)
     assert taus == pytest.approx([6.0, 7.0, 8.0], abs=1e-12)
-    assert record.observed_taus == taus
     assert final.tau == pytest.approx(8.0, abs=1e-12)
-    assert final.step_count == record.n_steps
 
 
 @pytest.mark.parametrize("times", [[6.0, 6.0, 7.0],
@@ -280,9 +292,9 @@ def test_positivity_window(reference_profile, shock):
     assert record.v_max <= 2.0 * shock.v_plus
     assert record.volume_window_ok(shock.v_plus)
     # the window [v_plus/4, 2*v_plus] is closed at both ends
-    assert RunRecord([], 0, 0.25, 2.0).volume_window_ok(1.0)
-    assert not RunRecord([], 0, 0.2499, 1.0).volume_window_ok(1.0)
-    assert not RunRecord([], 0, 1.0, 2.0001).volume_window_ok(1.0)
+    assert RunRecord(0, 0.25, 2.0).volume_window_ok(1.0)
+    assert not RunRecord(0, 0.2499, 1.0).volume_window_ok(1.0)
+    assert not RunRecord(0, 1.0, 2.0001).volume_window_ok(1.0)
 
 
 def test_perturbation_gradient_decays(reference_profile):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscoshock import (NumericalError, PressureLaw, ValidationError,
-                        build_shock, compute_profile,
-                        profile_residual, reduced_rhs,
-                        rescaled_profile_eval, residual_on_samples,
-                        tail_rates, verify_profile_properties)
+                        build_shock, compute_profile, profile_residual,
+                        rescaled_profile_eval, tail_rates,
+                        verify_profile_properties)
+from viscoshock.shock_profile import _rhs_unchecked
 
 
 def test_reduced_rhs_vanishes_at_end_states(shock, law):
-    assert reduced_rhs(shock.v_minus, shock, 0.1, law) == 0.0
-    assert abs(reduced_rhs(shock.v_plus, shock, 0.1, law)) <= 1e-14
+    assert _rhs_unchecked(shock.v_minus, shock, 0.1, law) == 0.0
+    assert abs(_rhs_unchecked(shock.v_plus, shock, 0.1, law)) <= 1e-14
 
 
 def test_reduced_rhs_reference_value(shock, law):
@@ -23,23 +24,14 @@ def test_reduced_rhs_reference_value(shock, law):
     s2 = (1.0 ** -2 - 1.2 ** -2) / 0.2
     gap = s2 * (1.1 - 1.2) + 1.1 ** -2 - 1.2 ** -2
     expected = gap * 1.1 ** 1.1 / (0.1 * math.sqrt(s2))
-    got = reduced_rhs(1.1, shock, 0.1, law)
+    got = _rhs_unchecked(1.1, shock, 0.1, law)
     assert got == pytest.approx(expected, rel=1e-13)
     assert got < 0.0
 
 
 def test_reduced_rhs_strictly_negative_inside(shock, law):
     v = np.linspace(shock.v_plus, shock.v_minus, 2001)[1:-1]
-    assert np.all(reduced_rhs(v, shock, 0.1, law) < 0.0)
-
-
-def test_reduced_rhs_domain_error(shock, law):
-    with pytest.raises(ValidationError):
-        reduced_rhs(1.3, shock, 0.1, law)
-    with pytest.raises(ValidationError):
-        reduced_rhs(0.9, shock, 0.1, law)
-    with pytest.raises(ValidationError):
-        reduced_rhs(1.1, shock, -0.1, law)
+    assert np.all(_rhs_unchecked(v, shock, 0.1, law) < 0.0)
 
 
 def test_tail_rates_reference_values(shock, law):
@@ -84,29 +76,21 @@ def test_residual_refinement_second_order(shock, law):
         assert 3.2 <= coarse / fine <= 4.8
 
 
-def test_residual_zero_for_constant_states(shock, law):
+def test_residual_zero_for_constant_states(profile, shock):
     xi = np.linspace(-2.0, 2.0, 101)
     for v0, u0 in ((shock.v_minus, shock.u_minus),
                    (shock.v_plus, shock.u_plus)):
-        r = residual_on_samples(xi, np.full_like(xi, v0), np.full_like(xi, u0),
-                                shock.s, 0.1, law)
-        assert r == 0.0
+        flat = replace(profile, xi_grid=xi, V=np.full_like(xi, v0),
+                       U=np.full_like(xi, u0))
+        assert profile_residual(flat) == 0.0
 
 
 def test_residual_detects_perturbation(profile):
     r0 = profile_residual(profile)
     V = np.array(profile.V)
     V[len(V) // 2] += 1e-3
-    r1 = residual_on_samples(profile.xi_grid, V, profile.U,
-                             profile.shock.s, profile.alpha, profile.law)
+    r1 = profile_residual(replace(profile, V=V))
     assert r1 > 100.0 * r0
-
-
-def test_residual_needs_enough_points(shock, law):
-    xi = np.linspace(-1.0, 1.0, 5)
-    with pytest.raises(ValidationError):
-        residual_on_samples(xi, np.full(5, 1.1), np.full(5, 0.0),
-                            shock.s, 0.1, law)
 
 
 def test_property_report(profile):
