@@ -283,9 +283,9 @@ def cmd_solve(args) -> int:
     wallclock = time.perf_counter() - t0
 
     dev = ed.perturbation(final, profile)
+    emit_json({"wallclock_s": wallclock}, out_dir / "timing.json")
     emit_json({
         "steps": record.n_steps,
-        "wallclock_s": wallclock,
         "tau_end": final.tau,
         "observations": observations,
         "final_sup_dv": float(np.max(np.abs(dev.phi))),

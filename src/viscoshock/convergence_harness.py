@@ -9,6 +9,7 @@ stretched-frame run sampled back onto the unscaled lattice.  A sweep fits
 the tail model error ~ C * exp(-c/alpha) and reports monotonicity.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ValidationError, ViscoshockError
 from .euler_waves import PressureLaw, ShockData, riemann_shock_eval
 from .lagrangian_solver import Grid1D, _check_run_args, init_state, run
-from .shock_profile import ViscousProfile, compute_profile
+from .shock_profile import compute_profile
 
 __all__ = [
     "OmegaSpec",
@@ -45,8 +46,10 @@ class OmegaSpec:
         if not self.h < self.t_final < np.inf:
             raise ValidationError("t_final must be finite and exceed h")
         for name in ("x_samples", "t_samples"):
-            if getattr(self, name) < 2:
-                raise ValidationError(f"{name} must be at least 2")
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and count >= 2):
+                raise ValidationError(
+                    f"{name} must be an integer of at least 2")
 
 
 @dataclass(frozen=True)
@@ -84,19 +87,19 @@ def _wave(shock, alpha, law, tol):
 
 
 def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
-                       omega: OmegaSpec,
-                       profile: ViscousProfile | None = None,
-                       tol: float = 1e-12) -> float:
+                       omega: OmegaSpec, tol: float = 1e-12) -> float:
     """Sup of |v - v_shock| + |u - u_shock| outside the strip, from the
     traveling-wave tails alone.
 
     The wave error depends only on the distance to the ray and decays
     monotonically, so the supremum over the wedge is attained at
-    distance h on whichever side decays slower.  Without ``profile`` the
-    wave is the one a sweep entry uses: tolerance tol, 20,001 samples.
+    distance h on whichever side decays slower.  The wave is the one a
+    sweep entry uses: tolerance tol, 20,001 samples.
     """
-    if profile is None:
-        profile = _wave(shock, alpha, law, tol)
+    return _tail_error(_wave(shock, alpha, law, tol), omega)
+
+
+def _tail_error(profile, omega):
     V = profile.eval_V(np.array([-omega.h, omega.h]))
     ref = np.array([profile.shock.v_minus, profile.shock.v_plus])
     # velocity deviation is |s| times the volume deviation (integrated
@@ -124,8 +127,6 @@ class FullErrorResult:
     capped: bool
     n_cells: int
     tau_end: float
-    v_min: float
-    v_max: float
     window_ok: bool     # volumes stayed within [v_plus/4, 2*v_plus]
 
 
@@ -135,7 +136,7 @@ def full_error(shock: ShockData, alpha: float, law: PressureLaw,
     """Sup error of an actual viscous run over the wedge lattice.
 
     The solver runs in stretched coordinates to t_final/alpha (capped at
-    sizing.tau_max), snapshots at the wedge's time lattice, and the
+    sizing.tau_max), stops at each time of the wedge's lattice, and the
     fields are linearly interpolated at the unscaled sample positions,
     always including the two points exactly at distance h from the ray
     where the supremum of the wave error sits.
@@ -163,28 +164,26 @@ def _full_error(profile, omega, sizing):
     grid = Grid1D(y_min=y_min, y_max=y_max, n_cells=n_cells)
 
     state = init_state(profile, grid)
-    t_hi = min(omega.t_final, alpha * tau_end)
-    t_lattice = np.linspace(omega.h, t_hi, omega.t_samples)
-    snaps = []
-    _, record = run(state, tau_end, observer=snaps.append,
-                    observe_at=list(t_lattice / alpha), cfl=sizing.cfl)
-
+    t_lattice = np.linspace(omega.h, min(omega.t_final, alpha * tau_end),
+                            omega.t_samples)
     yc, yi = grid.centers(), grid.interfaces()
-    err = 0.0
-    # read each snapshot at its lattice time: alpha*snap.tau can round below h
-    for t, snap in zip(t_lattice, snaps):
+    err, window_ok = 0.0, True
+    # stop at each lattice time, no later than tau_end (t/alpha can round
+    # past a cap), and sample at t itself: alpha*state.tau can round below h
+    stops = np.minimum(t_lattice[:-1] / alpha, tau_end)
+    for t, tau in zip(t_lattice, [*stops, tau_end]):
+        state, record = run(state, tau, cfl=sizing.cfl)
+        window_ok = window_ok and record.volume_window_ok(shock.v_plus)
         xs = _omega_positions(shock, omega, t,
                               alpha * grid.y_min, alpha * grid.y_max)
         ys = xs / alpha
-        v_num = np.interp(ys, yc, snap.v)
-        u_num = np.interp(ys, yi, snap.u)
+        v_num = np.interp(ys, yc, state.v)
+        u_num = np.interp(ys, yi, state.u)
         v_ref, u_ref = riemann_shock_eval(shock, xs, t)
         err = max(err, float(np.max(np.abs(v_num - v_ref)
                                     + np.abs(u_num - u_ref))))
     return FullErrorResult(error=err, capped=capped, n_cells=n_cells,
-                           tau_end=tau_end, v_min=record.v_min,
-                           v_max=record.v_max,
-                           window_ok=record.volume_window_ok(shock.v_plus))
+                           tau_end=tau_end, window_ok=window_ok)
 
 
 @dataclass
@@ -240,7 +239,7 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
     for a in alphas:
         try:
             wave = _wave(shock, a, law, sizing.profile_tol)
-            e_p = profile_only_error(shock, a, law, omega, profile=wave)
+            e_p = _tail_error(wave, omega)
             full = _full_error(wave, omega, sizing) if include_full else None
         except ViscoshockError as exc:
             out.failures[a] = f"{type(exc).__name__}: {exc}"

@@ -24,6 +24,7 @@ each step rejecting a non-positive result.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,8 +62,9 @@ class Grid1D:
             raise ValidationError("y_max must be finite")
         if not -math.inf < self.y_min < self.y_max:
             raise ValidationError("y_min must be finite and below y_max")
-        if self.n_cells < 16:
-            raise ValidationError("n_cells must be at least 16")
+        if not (isinstance(self.n_cells, numbers.Integral)
+                and self.n_cells >= 16):
+            raise ValidationError("n_cells must be an integer of at least 16")
 
     @property
     def dy(self) -> float:
@@ -240,25 +242,15 @@ class RunRecord:
         return self.v_min >= v_plus / 4.0 and self.v_max <= 2.0 * v_plus
 
 
-def _targets(tau0, tau_end, observer, observe_every, observe_at):
-    """Stop times after tau0, ending with tau_end.  Times that coincide
-    within the stepping tolerance, or with tau_end, give one stop."""
+def _targets(tau0, tau_end, observe_every):
+    """Stop times after tau0, lazily: the multiples of observe_every short
+    of tau_end by more than the stepping tolerance, then tau_end."""
     end_tol = tau_end - 1e-12 * max(1.0, tau_end)
-    times = []
-    if observe_at is not None:
-        times = sorted(observe_at)
-    elif observer is not None and observe_every is not None:
-        k = 1
-        while tau0 + k * observe_every < end_tol:
-            times.append(tau0 + k * observe_every)
-            k += 1
-    targets = []
-    for t in times:
-        if (tau0 < t < end_tol and not
-                (targets and t - targets[-1] <= 1e-12 * max(1.0, t))):
-            targets.append(t)
-    targets.append(tau_end)
-    return targets
+    k = 1
+    while observe_every is not None and tau0 + k * observe_every < end_tol:
+        yield tau0 + k * observe_every
+        k += 1
+    yield tau_end
 
 
 def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=None,
@@ -268,16 +260,19 @@ def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=None,
         raise ValidationError("tau_end must be finite and >= the start time")
     if not 0.0 < cfl < 1.0:
         raise ValidationError("cfl must be in (0, 1)")
-    if observe_every is not None and not observe_every > 0.0:
-        raise ValidationError("observe_every must be positive")
+    # below the stepping tolerance, uniform stop times would coincide
+    tol = 1e-12 * max(1.0, abs(tau0), abs(tau_end))
+    if observe_every is not None and not observe_every > tol:
+        raise ValidationError(
+            "observe_every must exceed the stepping tolerance "
+            f"1e-12*max(1, |start|, |tau_end|) = {tol:.3g}")
     if max_dtau is not None and not max_dtau > 0.0:
         raise ValidationError("max_dtau must be positive")
 
 
 def run(state: SolverState, tau_end: float, observer=None,
         observe_every: float | None = None, cfl: float = 0.4,
-        max_dtau: float | None = None,
-        observe_at: list | None = None):
+        max_dtau: float | None = None):
     """March the state to tau_end, finite and >= state.tau.
 
     The step is the acoustic CFL limit cfl*dy/max|wave speed|, cfl in
@@ -285,10 +280,10 @@ def run(state: SolverState, tau_end: float, observer=None,
     max_dtau > 0 (the convergence tests tie the step to dy**2 this way),
     and clipped so observation times and tau_end are hit exactly.  The
     observer, if given, receives the read-only state at each multiple of
-    observe_every > 0 after the start time and at tau_end; an interval
-    longer than the run, inf included, yields one call at the end.
-    observe_at replaces the uniform schedule with explicit times;
-    coinciding times give one call.  The volumes are validated once on
+    observe_every after the start time and at tau_end; observe_every
+    must exceed the stepping tolerance 1e-12*max(1, |state.tau|,
+    |tau_end|), and an interval longer than the run, inf included,
+    yields one call at the end.  The volumes are validated once on
     entry and the loop runs on arrays, building a SolverState only where
     one is observed and at tau_end.  Returns (final state, RunRecord).
     """
@@ -300,11 +295,10 @@ def run(state: SolverState, tau_end: float, observer=None,
     if tau_end <= state.tau + 1e-15:
         return state, record
 
-    targets = _targets(state.tau, tau_end, observer, observe_every,
-                       observe_at)
     u, tau, bc_u = state.u, state.tau, state.bc_u
     alpha, gamma, dy = state.alpha, state.law.gamma, state.grid.dy
-    for i, target in enumerate(targets, 1):
+    for target in _targets(tau, tau_end,
+                           None if observer is None else observe_every):
         while tau < target - 1e-12 * max(1.0, target):
             dt = cfl * dy / _wave_speed(v_low, gamma)
             if max_dtau is not None:
@@ -321,7 +315,7 @@ def run(state: SolverState, tau_end: float, observer=None,
             record.n_steps += 1
             record.v_min = min(record.v_min, v_low)
             record.v_max = max(record.v_max, v_high)
-        if observer is not None or i == len(targets):
+        if observer is not None or target == tau_end:
             state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau)
             if observer is not None:
                 observer(state)

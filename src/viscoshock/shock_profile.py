@@ -21,6 +21,7 @@ rates
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,8 +179,8 @@ def _check_profile_args(alpha, tol, n):
         raise ValidationError("alpha must be positive and finite")
     if not 0.0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
-    if n < 33:
-        raise ValidationError("n must be at least 33")
+    if not (isinstance(n, numbers.Integral) and n >= 33):
+        raise ValidationError("n must be an integer of at least 33")
 
 
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
@@ -199,7 +200,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     alpha : viscosity exponent, positive and finite.
     tol : integrator tolerance (relative and absolute), in (0, delta/4);
         also sets the tail cutoff eps_tail = max(tol, 1e-10*delta).
-    n : number of grid samples, at least 33.
+    n : number of grid samples, an integer of at least 33.
     normalization : volume at xi = 0; defaults to the midpoint of the
         end states.  The wave is unique up to translation, so this only
         fixes the phase.

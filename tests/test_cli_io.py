@@ -121,6 +121,25 @@ def test_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_solve_rerun_identical_apart_from_timing(tmp_path):
+    # the wall clock lives in timing.json, so every other file repeats
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL + "n_cells = 200\ntau_end = 0.5\n"
+                   "y_min = -70\ny_max = 52\nobserve_every = 0.25\n")
+    trees = []
+    for name in ("s1", "s2"):
+        out = tmp_path / name
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert list(timing) == ["wallclock_s"]
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "timing.json"})
+    assert sorted(trees[0]) == ["obs_0000.csv", "obs_0001.csv",
+                                "summary.json"]
+    assert trees[0] == trees[1]
+    assert b"wallclock" not in trees[0]["summary.json"]
+
+
 def test_cli_shock_exit_codes(capsys):
     assert main(["shock", "--v-minus", "1.2", "--v-plus", "1.0"]) == 0
     out = capsys.readouterr().out

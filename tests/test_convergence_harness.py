@@ -18,6 +18,12 @@ def test_omega_validation():
         OmegaSpec(h=0.0, t_final=2.0)
     with pytest.raises(ValidationError):
         OmegaSpec(h=2.0, t_final=1.0)
+    # a fractional count used to fail later as a bare numpy TypeError
+    with pytest.raises(ValidationError, match="^x_samples"):
+        OmegaSpec(1.0, 2.0, x_samples=2.5)
+    with pytest.raises(ValidationError, match="^t_samples"):
+        OmegaSpec(1.0, 2.0, t_samples=3.0)
+    assert OmegaSpec(1.0, 2.0, np.int64(5), np.int64(3)).t_samples == 3
 
 
 def test_omega_positions_exclude_strip(shock, omega):
@@ -50,7 +56,7 @@ def test_profile_error_shift_invariance(shock, law, omega):
     shifted = compute_profile(shock, 0.1, law, tol=1e-12, normalization=m2)
     rough = float(np.interp(-m2, -base.V, base.xi_grid))
     d = abs(brentq(lambda x: base.eval_V(x) - m2, rough - 0.2, rough + 0.2))
-    e_shift = profile_only_error(shock, 0.1, law, omega, profile=shifted)
+    e_shift = convergence_harness._tail_error(shifted, omega)
     lo = profile_only_error(shock, 0.1, law,
                             OmegaSpec(h=omega.h + d, t_final=omega.t_final))
     hi = profile_only_error(shock, 0.1, law,
@@ -108,6 +114,18 @@ def test_full_error_cap_flag(shock, law, omega):
     res = full_error(shock, 0.2, law, omega, sizing)
     assert res.capped
     assert res.tau_end == 5.0
+    assert np.isfinite(res.error)
+
+
+def test_full_error_cap_at_window_opening(shock, law):
+    # the cap is the first admissible one, alpha*tau_max == h, and
+    # h/alpha rounds one ulp past tau_max: every lattice stop is tau_max
+    alpha, tau_max = 0.1, 24.0
+    omega = OmegaSpec(h=alpha * tau_max, t_final=2.0 * alpha * tau_max,
+                      x_samples=201, t_samples=3)
+    assert omega.h / alpha > tau_max
+    res = full_error(shock, alpha, law, omega, SolverSizing(tau_max=tau_max))
+    assert res.capped and res.tau_end == tau_max
     assert np.isfinite(res.error)
 
 

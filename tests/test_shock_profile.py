@@ -140,6 +140,8 @@ def test_compute_profile_validation(shock, law):
         compute_profile(shock, 0.1, law, tol=0.0)
     with pytest.raises(ValidationError):
         compute_profile(shock, 0.1, law, n=8)
+    with pytest.raises(ValidationError, match="^n must be an integer"):
+        compute_profile(shock, 0.1, law, n=4001.5)
     with pytest.raises(ValidationError):
         compute_profile(shock, 0.1, law, normalization=1.3)
 
