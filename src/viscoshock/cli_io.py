@@ -148,17 +148,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, schema, path):
-    """Write rows under a header with lossless real formatting."""
-    schema = list(schema)
-    lines = [",".join(schema)]
-    for i, row in enumerate(rows):
-        row = list(row)
-        if len(row) != len(schema):
+_REALS = (float, np.float64)
+
+
+def _cells(rows, width):
+    # the cells in row order as Python scalars; every row is checked
+    # against the schema before anything is written
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
             raise ValidationError(
-                f"row {i} has {len(row)} fields, schema has {len(schema)}")
-        lines.append(",".join(_fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                f"rows must be a 2-D array, got {rows.ndim}-D")
+        if len(rows) and rows.shape[1] != width:
+            raise ValidationError(
+                f"row 0 has {rows.shape[1]} fields, schema has {width}")
+        return rows.ravel().tolist()
+    try:
+        rows = iter(rows)
+    except TypeError as exc:
+        raise ValidationError(
+            f"rows must be iterable, got a {type(rows).__name__}") from exc
+    cells = []
+    for i, row in enumerate(rows):
+        try:
+            row = list(row)
+        except TypeError as exc:
+            raise ValidationError(
+                f"rows must be rows of fields, row {i} is a "
+                f"{type(row).__name__}") from exc
+        if len(row) != width:
+            raise ValidationError(
+                f"row {i} has {len(row)} fields, schema has {width}")
+        cells += row
+    return cells
+
+
+def emit_csv(rows, schema, path):
+    """Write rows under a header with lossless real formatting.
+
+    ``rows`` is a 2-D array or an iterable of rows.  The whole table is
+    checked before the file is opened, then formatted by one ``%``
+    operation: reals as ``%.17g``, every other cell through ``_fmt``.
+    """
+    schema = list(schema)
+    if not schema:
+        raise ValidationError("schema must name at least one column")
+    cells = [x if type(x) in _REALS else _fmt(x)
+             for x in _cells(rows, len(schema))]
+    # spec and separator slots alternate; a row's last separator ends it
+    template = [","] * (2 * len(cells))
+    template[::2] = ["%.17g" if type(x) in _REALS else "%s" for x in cells]
+    template[2 * len(schema) - 1::2 * len(schema)] = (
+        ["\n"] * (len(cells) // len(schema)))
+    body = "".join(template) % tuple(cells)
+    Path(path).write_text(",".join(schema) + "\n" + body, encoding="utf-8",
                           newline="\n")
 
 
@@ -241,7 +283,7 @@ def cmd_profile(args) -> int:
     report = sp.verify_profile_properties(profile, h_probe=0.0)
     dv = profile.eval_dV(profile.xi_grid)
     out = Path(args.out)
-    emit_csv(zip(profile.xi_grid, profile.V, profile.U, dv),
+    emit_csv(np.column_stack([profile.xi_grid, profile.V, profile.U, dv]),
              ["xi", "V", "U", "dV_dxi"], out)
     sidecar = out.with_suffix(".json") if out.suffix == ".csv" \
         else Path(str(out) + ".json")
@@ -272,7 +314,7 @@ def cmd_solve(args) -> int:
     def observer(snap):
         idx = len(observations)
         u_c = 0.5 * (snap.u[1:] + snap.u[:-1])
-        emit_csv(zip(yc, snap.v, u_c), ["y", "v", "u"],
+        emit_csv(np.column_stack([yc, snap.v, u_c]), ["y", "v", "u"],
                  out_dir / f"obs_{idx:04d}.csv")
         observations.append(snap.tau)
 
@@ -303,12 +345,11 @@ _ENERGY_COLUMNS = ["tau", "N", "l2", "h1", "h2", "diss_weighted",
 
 
 def _energy_rows(report: ed.EnergyReport):
-    for i, tau in enumerate(report.tau_series):
-        yield (tau, report.peak_h2_sq[i], report.l2_sq_series[i],
-               report.h1_sq_series[i], report.h2_sq_series[i],
-               report.diss_weighted[i], report.diss_phi[i],
-               report.diss_psi[i], report.grad_sq_series[i],
-               report.remainder_max[i], report.remainder_margin[i])
+    return np.column_stack([
+        report.tau_series, report.peak_h2_sq, report.l2_sq_series,
+        report.h1_sq_series, report.h2_sq_series, report.diss_weighted,
+        report.diss_phi, report.diss_psi, report.grad_sq_series,
+        report.remainder_max, report.remainder_margin])
 
 
 def cmd_energy(args) -> int:
@@ -378,7 +419,7 @@ def cmd_selftest(args) -> int:
           report.bounds_ok and report.monotone_ok and report.du_negative_ok)
     check("profile tail rates", report.rates_ok)
     check("profile residual small", residual < 1e-4)
-    emit_csv(zip(profile.xi_grid[::20], profile.V[::20], profile.U[::20]),
+    emit_csv(np.column_stack([profile.xi_grid, profile.V, profile.U])[::20],
              ["xi", "V", "U"], out_dir / "profile.csv")
     emit_json({"residual": residual, "lambda_minus": profile.lambda_minus,
                "lambda_plus": profile.lambda_plus,
