@@ -20,7 +20,9 @@ discrete mass identity is exact to rounding.
 
 Volumes are validated at the public edge only: step checks its input
 state, run checks it once on entry, and the stepping kernel relies on
-each step rejecting a non-positive result.
+each step rejecting a non-positive result.  The kernel takes both powers
+of the volume, v**-(1+alpha) and v**-gamma, as exponentials of one
+log(v), which is defined only because of that positivity.
 """
 
 import math
@@ -97,7 +99,14 @@ class SolverState:
 def _wave_speed(v_min, gamma):
     # -p'(v) = gamma*v**(-gamma-1) falls as v rises, so the fastest
     # acoustic speed sits at the smallest volume
-    return math.sqrt(gamma * v_min ** (-gamma - 1.0))
+    try:
+        c2 = gamma * v_min ** (-gamma - 1.0)
+    except OverflowError:
+        c2 = math.inf
+    if c2 == math.inf:
+        raise NumericalError(
+            f"acoustic speed overflows at volume {v_min:.6g}")
+    return math.sqrt(c2)
 
 
 def _freeze(arr):
@@ -148,36 +157,43 @@ def _check_dtau(dtau):
 def _advance(v, u, bc_u, alpha, gamma, dy, dtau):
     """One step on raw arrays of positive volumes.
 
-    Returns (v_new, u_new, min(v_new), max(v_new)); raises
-    NumericalError if the solve fails or a volume turns non-positive.
+    Both powers of the volume come from one logarithm, so v must be
+    positive: step checks its input, run checks it on entry, and every
+    step refuses a non-positive result.  Returns (v_new, u_new,
+    min(v_new), max(v_new)); raises NumericalError if the solve fails or
+    a volume turns non-positive.
     """
-    rw = v ** -(1.0 + alpha)     # dissipative coefficient w, scaled below
-    rw *= dtau / dy ** 2
-    p = v ** -gamma
+    log_v = np.log(v)
+    w = log_v * -(1.0 + alpha)
+    np.exp(w, out=w)             # dissipative coefficient v**-(1+alpha)
+    w *= -dtau / dy ** 2         # negated and scaled: dptsv's off-diagonal
+    log_v *= -gamma
+    p = np.exp(log_v, out=log_v)  # pressure v**-gamma
     ubl, ubr = bc_u
 
     u_new = np.empty(len(u))
     u_new[0] = ubl
     u_new[-1] = ubr
     rhs = u_new[1:-1]
-    dp = p[1:] - p[:-1]
-    dp *= dtau / dy
-    np.subtract(u[1:-1], dp, out=rhs)
-    rhs[0] += rw[0] * ubl
-    rhs[-1] += rw[-1] * ubr
-    diag = rw[:-1] + 1.0
-    diag += rw[1:]
-    _, _, interior, info = dptsv(diag, np.negative(rw[1:-1]), rhs,
+    np.subtract(p[:-1], p[1:], out=rhs)
+    rhs *= dtau / dy
+    rhs += u[1:-1]
+    rhs[0] -= w[0] * ubl
+    rhs[-1] -= w[-1] * ubr
+    diag = 1.0 - w[:-1]
+    diag -= w[1:]
+    _, _, interior, info = dptsv(diag, w[1:-1], rhs,
                                  overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise NumericalError(f"tridiagonal solve failed: LAPACK info {info}")
-    u_new[1:-1] = interior       # same memory unless LAPACK copied rhs
+    if not np.may_share_memory(interior, rhs):
+        u_new[1:-1] = interior   # LAPACK copied rhs
 
     v_new = u_new[1:] - u_new[:-1]
     v_new *= dtau / dy
     v_new += v
-    v_min = float(v_new.min())
-    v_max = float(v_new.max())
+    v_min = float(np.minimum.reduce(v_new))
+    v_max = float(np.maximum.reduce(v_new))
     # a non-finite interior velocity reaches the neighbouring volumes,
     # and min/max propagate NaN, so the extrema catch it
     if not (math.isfinite(v_min) and math.isfinite(v_max)):
@@ -290,21 +306,22 @@ def run(state: SolverState, tau_end: float, observer=None,
     _check_run_args(cfl, state.tau, tau_end, observe_every, max_dtau)
     v = _check_positive_volume(state.v)
 
-    v_low = float(np.min(v))
-    record = RunRecord(n_steps=0, v_min=v_low, v_max=float(np.max(v)))
+    v_low = lowest = float(np.min(v))
+    highest = float(np.max(v))
     if tau_end <= state.tau + 1e-15:
-        return state, record
+        return state, RunRecord(n_steps=0, v_min=lowest, v_max=highest)
 
     u, tau, bc_u = state.u, state.tau, state.bc_u
     alpha, gamma, dy = state.alpha, state.law.gamma, state.grid.dy
+    n_steps = 0
     for target in _targets(tau, tau_end,
                            None if observer is None else observe_every):
         while tau < target - 1e-12 * max(1.0, target):
-            dt = cfl * dy / _wave_speed(v_low, gamma)
-            if max_dtau is not None:
-                dt = min(dt, max_dtau)
-            dt = min(dt, target - tau)
             try:
+                dt = cfl * dy / _wave_speed(v_low, gamma)
+                if max_dtau is not None:
+                    dt = min(dt, max_dtau)
+                dt = min(dt, target - tau)
                 _check_dtau(dt)
                 v, u, v_low, v_high = _advance(v, u, bc_u, alpha, gamma,
                                                dy, dt)
@@ -312,11 +329,11 @@ def run(state: SolverState, tau_end: float, observer=None,
                 raise NumericalError(
                     f"run aborted at tau={tau:.6g}: {exc}") from exc
             tau += dt
-            record.n_steps += 1
-            record.v_min = min(record.v_min, v_low)
-            record.v_max = max(record.v_max, v_high)
+            n_steps += 1
+            lowest = min(lowest, v_low)
+            highest = max(highest, v_high)
         if observer is not None or target == tau_end:
             state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau)
             if observer is not None:
                 observer(state)
-    return state, record
+    return state, RunRecord(n_steps=n_steps, v_min=lowest, v_max=highest)

@@ -67,9 +67,22 @@ def _rhs_slope(V, shock, alpha, law):
 
 
 def tail_rates(shock: ShockData, alpha: float, law: PressureLaw):
-    """Exact linearised decay rates (lambda_minus > 0, lambda_plus < 0)."""
-    lam_m = ((shock.s ** 2 + d_pressure(shock.v_minus, law))
-             * shock.v_minus ** (1.0 + alpha) / (abs(shock.s) * alpha))
+    """Exact linearised decay rates (lambda_minus > 0, lambda_plus < 0).
+
+    Raises ValidationError when alpha is so large for v_minus that
+    lambda_minus, which grows as v_minus**(1+alpha), overflows.
+    """
+    try:
+        with np.errstate(over="ignore"):
+            lam_m = ((shock.s ** 2 + d_pressure(shock.v_minus, law))
+                     * shock.v_minus ** (1.0 + alpha)
+                     / (abs(shock.s) * alpha))
+    except OverflowError:
+        lam_m = math.inf
+    if lam_m == math.inf:
+        raise ValidationError(
+            f"alpha {alpha} is too large for v_minus {shock.v_minus}: "
+            "the tail rate lambda_minus overflows")
     lam_p = ((shock.s ** 2 + d_pressure(shock.v_plus, law))
              * shock.v_plus ** (1.0 + alpha) / (abs(shock.s) * alpha))
     return float(lam_m), float(lam_p)
@@ -206,7 +219,8 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         fixes the phase.
 
     Raises NumericalError if the integration fails or the samples are
-    not strictly monotone inside the end states (weak shocks).
+    not strictly monotone inside the end states (weak shocks, and some
+    strong ones).
     """
     _check_profile_args(alpha, tol, n)
     vp, vm = shock.v_plus, shock.v_minus
@@ -246,7 +260,8 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     def ode(x):
         out = np.full(x.shape, v0)
         for sol, side in zip(sols, (x > 0.0, x < 0.0)):
-            out[side] = sol.sol(x[side])[0]
+            if side.any():   # a strong shock may leave no node inside
+                out[side] = sol.sol(x[side])[0]
         return out
 
     V = _join(xi, ode, shock, tails)

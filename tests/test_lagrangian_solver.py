@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
-from viscoshock import (Grid1D, NumericalError, RunRecord, SolverState,
-                        ValidationError, ViscousProfile, d_pressure,
-                        init_state, rescaled_profile_eval, run, step,
-                        step_flux_balance)
+from viscoshock import (Grid1D, NumericalError, PressureLaw, RunRecord,
+                        SolverState, ValidationError, ViscousProfile,
+                        build_shock, compute_profile, d_pressure, init_state,
+                        rescaled_profile_eval, run, step, step_flux_balance)
 from viscoshock.cli_io import parse_config
 from viscoshock.lagrangian_solver import _wave_speed
 
@@ -50,6 +51,48 @@ def _banded_reference_step(state, dtau):
     ab[2, :-1] = -r / c[1:-1]
     u_new = np.concatenate(([ubl], solve_banded((1, 1), ab, rhs), [ubr]))
     return v + (dtau / dy) * (u_new[1:] - u_new[:-1]), u_new
+
+
+def _power_kernel(v, u, bc_u, alpha, gamma, dy, dtau):
+    # the stepping kernel with both powers of the volume taken by **, the
+    # oracle for the one-logarithm kernel
+    rw = v ** -(1.0 + alpha)
+    rw *= dtau / dy ** 2
+    p = v ** -gamma
+    ubl, ubr = bc_u
+    u_new = np.empty(len(u))
+    u_new[0] = ubl
+    u_new[-1] = ubr
+    rhs = u_new[1:-1]
+    dp = p[1:] - p[:-1]
+    dp *= dtau / dy
+    np.subtract(u[1:-1], dp, out=rhs)
+    rhs[0] += rw[0] * ubl
+    rhs[-1] += rw[-1] * ubr
+    diag = rw[:-1] + 1.0
+    diag += rw[1:]
+    _, _, interior, info = dptsv(diag, np.negative(rw[1:-1]), rhs,
+                                 overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"tridiagonal solve failed: LAPACK info {info}")
+    u_new[1:-1] = interior
+    v_new = u_new[1:] - u_new[:-1]
+    v_new *= dtau / dy
+    v_new += v
+    v_min, v_max = float(v_new.min()), float(v_new.max())
+    if not (np.isfinite(v_min) and np.isfinite(v_max)):
+        raise NumericalError("tridiagonal solve produced non-finite values")
+    if v_min <= 0.0:
+        raise NumericalError("volume became non-positive")
+    return v_new, u_new, v_min, v_max
+
+
+@pytest.fixture(scope="module")
+def strong_profile():
+    # gamma 3, v 10 -> 1, alpha 2: |gamma*log v| is largest among the
+    # stepper's tested waves
+    law = PressureLaw(3.0)
+    return compute_profile(build_shock(10.0, 1.0, 0.0, law), 2.0, law)
 
 
 def test_grid_validation():
@@ -153,15 +196,42 @@ def test_step_blowup_detected(law):
 
 
 @pytest.mark.parametrize("n_cells", [400, 1600, 3200])
-def test_step_matches_banded_reference(reference_profile, n_cells):
-    state = _perturbed_wave(reference_profile, n_cells)
-    for dtau in (0.5 * state.grid.dy ** 2,
-                 0.4 * state.grid.dy / _wave_speed(state.v.min(),
-                                                   state.law.gamma)):
-        v_ref, u_ref = _banded_reference_step(state, dtau)
-        nxt = step(state, dtau)
-        assert np.max(np.abs(nxt.v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
-        assert np.max(np.abs(nxt.u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+def test_step_matches_banded_reference(reference_profile, strong_profile,
+                                       n_cells):
+    # also against the power kernel: exp(-e*log v) and v**-e differ in
+    # their last bits only
+    for profile in (reference_profile, strong_profile):
+        state = _perturbed_wave(profile, n_cells)
+        for dtau in (0.5 * state.grid.dy ** 2,
+                     0.4 * state.grid.dy / _wave_speed(state.v.min(),
+                                                       state.law.gamma)):
+            v_ref, u_ref = _banded_reference_step(state, dtau)
+            v_pow, u_pow, _, _ = _power_kernel(
+                state.v, state.u, state.bc_u, state.alpha,
+                state.law.gamma, state.grid.dy, dtau)
+            nxt = step(state, dtau)
+            for got, ref, bound in ((nxt.v, v_ref, 1e-13),
+                                    (nxt.u, u_ref, 1e-13),
+                                    (nxt.v, v_pow, 1e-14),
+                                    (nxt.u, u_pow, 1e-14)):
+                assert (np.max(np.abs(got - ref))
+                        <= bound * np.max(np.abs(ref)))
+
+
+def test_run_matches_power_kernel(reference_profile, monkeypatch):
+    # a full refinement-level run (800 cells, dy**2-capped steps, to
+    # tau 5) drifts from the power-kernel run at rounding level only
+    grid = Grid1D(y_min=-65.0, y_max=55.0, n_cells=800)
+    state = init_state(reference_profile, grid)
+    dtau = 0.5 * grid.dy ** 2
+    final, record = run(state, 5.0, cfl=0.4, max_dtau=dtau)
+    monkeypatch.setattr("viscoshock.lagrangian_solver._advance",
+                        _power_kernel)
+    ref, ref_record = run(state, 5.0, cfl=0.4, max_dtau=dtau)
+    assert record.n_steps == ref_record.n_steps
+    assert final.tau == ref.tau
+    assert np.max(np.abs(final.v - ref.v)) <= 1e-12 * np.max(np.abs(ref.v))
+    assert np.max(np.abs(final.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
@@ -193,6 +263,17 @@ def test_max_wave_speed_matches_pointwise_maximum(reference_profile):
             seed = np.sqrt(np.max(-d_pressure(s.v, s.law)))
             got = _wave_speed(s.v.min(), s.law.gamma)
             assert got == pytest.approx(seed, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_refuses_overflowing_acoustic_speed():
+    # v**(-gamma-1) = 1e320 overflows a float; one step still succeeds,
+    # but run used to raise a bare OverflowError computing its CFL step
+    grid = Grid1D(y_min=0.0, y_max=1.0, n_cells=16)
+    state = init_constant(grid, 1e-80, 0.0, 0.1, PressureLaw(3.0))
+    step(state, 1e-3)
+    with pytest.raises(NumericalError, match="acoustic speed overflows"):
+        run(state, 1.0)
 
 
 def test_step_rejects_tiny_dtau(shock, law):

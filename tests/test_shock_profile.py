@@ -210,11 +210,11 @@ def test_automatic_grid_layout(profile):
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(gamma=st.floats(1.0, 3.0),
-       log_delta=st.floats(math.log(1e-6), math.log(5.0)),
+       log_delta=st.floats(math.log(1e-6), math.log(1e6)),
        log_alpha=st.floats(math.log(1e-3), math.log(5.0)))
 def test_readme_domain_never_blames_the_caller(gamma, log_delta, log_alpha):
     # a profile is either right or a NumericalError (weak shocks, whose
-    # samples tie at the integrator's tolerance)
+    # samples tie at the integrator's tolerance, and some strong ones)
     law = PressureLaw(gamma)
     shock = build_shock(1.0 + math.exp(log_delta), 1.0, 0.0, law)
     try:
@@ -243,3 +243,35 @@ def test_tol_swallowing_the_jump_blames_tol(shock, law):
         compute_profile(shock, 0.1, law, tol=0.06)
     with pytest.raises(ValidationError, match="tol"):
         compute_profile(shock, 0.1, law, tol=0.05)
+
+
+@pytest.mark.filterwarnings("error")
+def test_strong_shock_with_no_node_on_one_side():
+    # the left cutoff sits within one sample step of xi = 0, so no node
+    # lies strictly between them; evaluating the ODE solution there on
+    # an empty set used to raise a bare ValueError
+    law = PressureLaw(1.2)
+    shock = build_shock(1.3e5, 1.0, 0.0, law)
+    prof = compute_profile(shock, 0.8, law)
+    xi, V = prof.xi_grid, prof.V
+    assert not np.any((xi > prof.xi_cut_left) & (xi < 0.0))
+    assert np.all((V > shock.v_plus) & (V < shock.v_minus))
+    assert np.all(np.diff(V) < 0.0)
+    gap = prof.U - (shock.u_minus - shock.s * (V - shock.v_minus))
+    assert np.max(np.abs(gap)) <= 10.0 * prof.tol
+    assert np.array_equal(prof.eval_V(xi), V)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_tail_rate_names_alpha_and_v_minus(law):
+    # v_minus**(1 + alpha) = 1e360 used to raise a bare OverflowError
+    shock = build_shock(1e60, 1.0, 0.0, law)
+    for call in (lambda: tail_rates(shock, 5.0, law),
+                 lambda: compute_profile(shock, 5.0, law)):
+        with pytest.raises(ValidationError,
+                           match=r"^alpha 5\.0 .*v_minus 1e\+60"):
+            call()
+    # 1000**102 is finite, but times s**2 + p'(v_minus) ~ 1e3 it is not
+    shock = build_shock(1e3, 1e-3, 0.0, law)
+    with pytest.raises(ValidationError, match=r"^alpha 101\.0 .*v_minus 1000"):
+        tail_rates(shock, 101.0, law)
