@@ -53,7 +53,7 @@ class RunConfig:
     y_min: float = -70.0
     y_max: float = 52.0
     n_cells: int = 1600
-    cfl: float = 0.4
+    cfl: float = ch.SolverSizing.cfl
     tau_end: float = 8.0
     observe_every: float = 0.25
     dy2_step_factor: float = 0.0  # >0 caps the step at factor*dy**2
@@ -62,12 +62,12 @@ class RunConfig:
     inject_width: float = 2.0
     h: float = 1.0
     t_final: float = 2.0
-    x_samples: int = 801
-    t_samples: int = 5
+    x_samples: int = ch.OmegaSpec.x_samples
+    t_samples: int = ch.OmegaSpec.t_samples
     alphas: tuple = (0.4, 0.2, 0.1, 0.05)
-    tau_max: float = 200.0
-    cells_per_width: float = 26.0
-    margin_efolds: float = 20.0
+    tau_max: float = ch.SolverSizing.tau_max
+    cells_per_width: float = ch.SolverSizing.cells_per_width
+    margin_efolds: float = ch.SolverSizing.margin_efolds
 
 
 def _parse_float_list(text):
@@ -119,8 +119,8 @@ def parse_config(text: str) -> RunConfig:
         if not ok(getattr(cfg, key)):
             raise ValidationError(f"key {key}: {msg}")
     try:
-        _law_and_shock(cfg)
-        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.n)
+        _, shock = _law_and_shock(cfg)
+        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.n, shock.delta)
         ls.Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
         ls._check_run_args(cfg.cfl, 0.0, cfg.tau_end, cfg.observe_every)
         _sweep_specs(cfg)
@@ -151,49 +151,27 @@ def _fmt(value) -> str:
 _REALS = (float, np.float64)
 
 
-def _cells(rows, width):
-    # the cells in row order as Python scalars; every row is checked
-    # against the schema before anything is written
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise ValidationError(
-                f"rows must be a 2-D array, got {rows.ndim}-D")
-        if len(rows) and rows.shape[1] != width:
-            raise ValidationError(
-                f"row 0 has {rows.shape[1]} fields, schema has {width}")
-        return rows.ravel().tolist()
-    try:
-        rows = iter(rows)
-    except TypeError as exc:
-        raise ValidationError(
-            f"rows must be iterable, got a {type(rows).__name__}") from exc
-    cells = []
-    for i, row in enumerate(rows):
-        try:
-            row = list(row)
-        except TypeError as exc:
-            raise ValidationError(
-                f"rows must be rows of fields, row {i} is a "
-                f"{type(row).__name__}") from exc
-        if len(row) != width:
-            raise ValidationError(
-                f"row {i} has {len(row)} fields, schema has {width}")
-        cells += row
-    return cells
-
-
 def emit_csv(rows, schema, path):
     """Write rows under a header with lossless real formatting.
 
-    ``rows`` is a 2-D array or an iterable of rows.  The whole table is
-    checked before the file is opened, then formatted by one ``%``
-    operation: reals as ``%.17g``, every other cell through ``_fmt``.
+    ``rows`` is a 2-D array; a table with mixed cell types has dtype
+    ``object``.  The table is checked before the file is opened, then
+    formatted by one ``%`` operation: reals as ``%.17g``, every other
+    cell through ``_fmt``.
     """
     schema = list(schema)
     if not schema:
         raise ValidationError("schema must name at least one column")
+    if not isinstance(rows, np.ndarray):
+        raise ValidationError(
+            f"rows must be a 2-D array, got a {type(rows).__name__}")
+    if rows.ndim != 2:
+        raise ValidationError(f"rows must be a 2-D array, got {rows.ndim}-D")
+    if len(rows) and rows.shape[1] != len(schema):
+        raise ValidationError(
+            f"row 0 has {rows.shape[1]} fields, schema has {len(schema)}")
     cells = [x if type(x) in _REALS else _fmt(x)
-             for x in _cells(rows, len(schema))]
+             for x in rows.ravel().tolist()]
     # spec and separator slots alternate; a row's last separator ends it
     template = [","] * (2 * len(cells))
     template[::2] = ["%.17g" if type(x) in _REALS else "%s" for x in cells]
@@ -257,10 +235,12 @@ def _initial_state(cfg: RunConfig, profile):
     return state
 
 
-def _max_dtau(cfg: RunConfig, grid):
-    if cfg.dy2_step_factor > 0.0:
-        return cfg.dy2_step_factor * grid.dy ** 2
-    return None
+def _run(cfg: RunConfig, state, observer):
+    # dy2_step_factor = 0 leaves the step uncapped
+    cap = cfg.dy2_step_factor * state.grid.dy ** 2
+    return ls.run(state, cfg.tau_end, observer=observer,
+                  observe_every=cfg.observe_every, cfl=cfg.cfl,
+                  max_dtau=cap if cfg.dy2_step_factor > 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +256,13 @@ def cmd_shock(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    profile = _profile(args)
+def _write_profile(profile, out: Path):
+    # the CSV and its JSON sidecar; returns the sidecar path, the
+    # residual and the property report
     shock = profile.shock
     residual = sp.profile_residual(profile)
     report = sp.verify_profile_properties(profile, h_probe=0.0)
     dv = profile.eval_dV(profile.xi_grid)
-    out = Path(args.out)
     emit_csv(np.column_stack([profile.xi_grid, profile.V, profile.U, dv]),
              ["xi", "V", "U", "dV_dxi"], out)
     sidecar = out.with_suffix(".json") if out.suffix == ".csv" \
@@ -296,6 +276,12 @@ def cmd_profile(args) -> int:
         "residual": residual,
         "properties": asdict(report),
     }, sidecar)
+    return sidecar, residual, report
+
+
+def cmd_profile(args) -> int:
+    out = Path(args.out)
+    sidecar, _, _ = _write_profile(_profile(args), out)
     print(f"wrote {out} and {sidecar}")
     return 0
 
@@ -304,11 +290,10 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     profile = _profile(cfg)
     state = _initial_state(cfg, profile)
-    grid = state.grid
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    yc = grid.centers()
+    yc = state.grid.centers()
     observations = []
 
     def observer(snap):
@@ -319,9 +304,7 @@ def cmd_solve(args) -> int:
         observations.append(snap.tau)
 
     t0 = time.perf_counter()
-    final, record = ls.run(state, cfg.tau_end, observer=observer,
-                           observe_every=cfg.observe_every, cfl=cfg.cfl,
-                           max_dtau=_max_dtau(cfg, grid))
+    final, record = _run(cfg, state, observer)
     wallclock = time.perf_counter() - t0
 
     dev = ed.perturbation(final, profile)
@@ -358,26 +341,21 @@ def cmd_energy(args) -> int:
     state = _initial_state(cfg, profile)
     report = ed.EnergyReport()
     ed.energy_snapshot(state, profile, report)
-    ls.run(state, cfg.tau_end,
-           observer=lambda snap: ed.energy_snapshot(snap, profile, report),
-           observe_every=cfg.observe_every, cfl=cfg.cfl,
-           max_dtau=_max_dtau(cfg, state.grid))
+    _run(cfg, state, lambda snap: ed.energy_snapshot(snap, profile, report))
     emit_csv(_energy_rows(report), _ENERGY_COLUMNS, args.out)
     print(f"wrote {len(report.tau_series)} rows to {args.out}")
     return 0
 
 
-def cmd_converge(args) -> int:
-    cfg = load_config(args.config)
+def _write_sweep(cfg: RunConfig, include_full, out_dir: Path):
+    # sweep.csv and fit_summary.json; returns the sweep
     law, shock = _law_and_shock(cfg)
     omega, sizing = _sweep_specs(cfg)
     result = ch.alpha_sweep(shock, law, cfg.alphas, omega,
-                            include_full=not args.profile_only,
-                            sizing=sizing)
-    out_dir = Path(args.out)
+                            include_full=include_full, sizing=sizing)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(zip(result.alphas, result.e_profile, result.e_full,
-                 result.capped),
+    emit_csv(np.array(list(zip(result.alphas, result.e_profile,
+                               result.e_full, result.capped)), dtype=object),
              ["alpha", "E_profile", "E_full", "capped"],
              out_dir / "sweep.csv")
     emit_json({
@@ -391,11 +369,23 @@ def cmd_converge(args) -> int:
                  "[h, t_final] only"),
         "failures": {str(k): v for k, v in result.failures.items()},
     }, out_dir / "fit_summary.json")
+    return result
+
+
+def cmd_converge(args) -> int:
+    out_dir = Path(args.out)
+    _write_sweep(load_config(args.config), not args.profile_only, out_dir)
     print(f"wrote sweep results to {out_dir}")
     return 0
 
 
+# the battery's one fixed run: the default shock at alpha 0.1
+_SELFTEST = RunConfig(n=2001, n_cells=600, tau_end=2.0, x_samples=401,
+                      t_samples=3, alphas=(0.4, 0.2, 0.1))
+
+
 def cmd_selftest(args) -> int:
+    cfg = _SELFTEST
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     checks = []
@@ -404,38 +394,28 @@ def cmd_selftest(args) -> int:
         checks.append((name, bool(ok)))
         print(f"[{'ok' if ok else 'FAIL'}] {name}")
 
-    law, shock = _law_and_shock(RunConfig())
-    payload = _shock_payload(law, shock)
+    payload = _shock_payload(*_law_and_shock(cfg))
     check("jump relations close",
           abs(payload["rh_residual_mass"]) <= 1e-12
           and abs(payload["rh_residual_momentum"]) <= 1e-12)
     check("admissibility", payload["lax_satisfied"])
     emit_json(payload, out_dir / "shock.json")
 
-    profile = sp.compute_profile(shock, 0.1, law, tol=1e-10, n=2001)
-    residual = sp.profile_residual(profile)
-    report = sp.verify_profile_properties(profile, h_probe=0.0)
+    profile = _profile(cfg)
+    _, residual, report = _write_profile(profile, out_dir / "profile.csv")
     check("profile bounds and monotonicity",
           report.bounds_ok and report.monotone_ok and report.du_negative_ok)
     check("profile tail rates", report.rates_ok)
     check("profile residual small", residual < 1e-4)
-    emit_csv(np.column_stack([profile.xi_grid, profile.V, profile.U])[::20],
-             ["xi", "V", "U"], out_dir / "profile.csv")
-    emit_json({"residual": residual, "lambda_minus": profile.lambda_minus,
-               "lambda_plus": profile.lambda_plus,
-               "rate_rel_err_left": report.rate_rel_err_left,
-               "rate_rel_err_right": report.rate_rel_err_right},
-              out_dir / "profile.json")
 
-    grid = ls.Grid1D(y_min=-70.0, y_max=52.0, n_cells=600)
-    state = ls.init_state(profile, grid)
+    state = _initial_state(cfg, profile)
     nxt = ls.step(state, 0.02)
     dm, fm, dp, fp = ls.step_flux_balance(state, nxt)
     mass_ok = abs(dm - fm) <= 1e-12 * max(1.0, abs(dm))
     mom_ok = abs(dp - fp) <= 1e-12 * max(1.0, abs(dp))
     check("conservation telescoping", mass_ok and mom_ok)
-    final, record = ls.run(nxt, 2.0, cfl=0.4)
-    window_ok = record.volume_window_ok(shock.v_plus)
+    final, record = _run(cfg, nxt, None)
+    window_ok = record.volume_window_ok(profile.shock.v_plus)
     check("volume window", window_ok)
     emit_json({"mass_gap": dm - fm, "momentum_gap": dp - fp,
                "steps": record.n_steps + 1, "v_min": record.v_min,
@@ -448,17 +428,9 @@ def cmd_selftest(args) -> int:
     check("prepared data starts at zero", rep.peak_h2_sq[0] == 0.0)
     emit_csv(_energy_rows(rep), _ENERGY_COLUMNS, out_dir / "energy.csv")
 
-    omega = ch.OmegaSpec(h=1.0, t_final=2.0, x_samples=401, t_samples=3)
-    sweep = ch.alpha_sweep(shock, law, [0.4, 0.2, 0.1], omega,
-                           include_full=False)
+    sweep = _write_sweep(cfg, include_full=False, out_dir=out_dir)
     check("tail error monotone in viscosity", sweep.monotone_flag)
     check("tail error fit", sweep.r_squared >= 0.99)
-    emit_csv(zip(sweep.alphas, sweep.e_profile),
-             ["alpha", "E_profile"], out_dir / "sweep.csv")
-    emit_json({"c_fit": sweep.c_fit, "C_fit": sweep.big_c_fit,
-               "r_squared": sweep.r_squared,
-               "monotone_flag": sweep.monotone_flag},
-              out_dir / "fit.json")
 
     failed = [name for name, ok in checks if not ok]
     if failed:

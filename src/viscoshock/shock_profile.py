@@ -70,22 +70,29 @@ def tail_rates(shock: ShockData, alpha: float, law: PressureLaw):
     """Exact linearised decay rates (lambda_minus > 0, lambda_plus < 0).
 
     Raises ValidationError when alpha is so large for v_minus that
-    lambda_minus, which grows as v_minus**(1+alpha), overflows.
+    lambda_minus, which grows as v_minus**(1+alpha), overflows, and when
+    v_plus is so small for gamma that p'(v_plus), and so lambda_plus,
+    overflows.
     """
-    try:
-        with np.errstate(over="ignore"):
-            lam_m = ((shock.s ** 2 + d_pressure(shock.v_minus, law))
-                     * shock.v_minus ** (1.0 + alpha)
-                     / (abs(shock.s) * alpha))
-    except OverflowError:
-        lam_m = math.inf
+    def rate(v):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float((shock.s ** 2 + d_pressure(v, law))
+                             * v ** (1.0 + alpha) / (abs(shock.s) * alpha))
+        except OverflowError:
+            return math.inf
+
+    lam_m = rate(shock.v_minus)
     if lam_m == math.inf:
         raise ValidationError(
             f"alpha {alpha} is too large for v_minus {shock.v_minus}: "
             "the tail rate lambda_minus overflows")
-    lam_p = ((shock.s ** 2 + d_pressure(shock.v_plus, law))
-             * shock.v_plus ** (1.0 + alpha) / (abs(shock.s) * alpha))
-    return float(lam_m), float(lam_p)
+    lam_p = rate(shock.v_plus)
+    if not math.isfinite(lam_p):
+        raise ValidationError(
+            f"v_plus {shock.v_plus} is too small for gamma {law.gamma}: "
+            "the tail rate lambda_plus overflows")
+    return lam_m, lam_p
 
 
 def _first_integral(shock, V):
@@ -186,14 +193,19 @@ def _auto_grid(cut_l, cut_r, n):
     return np.arange(-k_left, n - k_left) * h
 
 
-def _check_profile_args(alpha, tol, n):
-    # compute_profile's shock-free domain; NaN fails every comparison
+def _check_profile_args(alpha, tol, n, delta):
+    # compute_profile's domain for a shock of strength delta; NaN fails
+    # every comparison
     if not 0.0 < alpha < math.inf:
         raise ValidationError("alpha must be positive and finite")
     if not 0.0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
     if not (isinstance(n, numbers.Integral) and n >= 33):
         raise ValidationError("n must be an integer of at least 33")
+    if not tol < 0.25 * delta:   # else the tail cutoffs swallow the jump
+        raise ValidationError(
+            f"tol must be below delta/4 = {0.25 * delta:.6g}, "
+            "delta = v_minus - v_plus")
 
 
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
@@ -222,11 +234,9 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     not strictly monotone inside the end states (weak shocks, and some
     strong ones).
     """
-    _check_profile_args(alpha, tol, n)
+    _check_profile_args(alpha, tol, n, shock.delta)
     vp, vm = shock.v_plus, shock.v_minus
     delta = shock.delta
-    if not tol < 0.25 * delta:   # else the tail cutoffs swallow the jump
-        raise ValidationError(f"tol must be below delta/4 = {0.25 * delta:.6g}")
     eps_tail = max(tol, 1e-10 * delta)
     v0 = 0.5 * (vm + vp) if normalization is None else float(normalization)
     if not (vp + 2.0 * eps_tail < v0 < vm - 2.0 * eps_tail):

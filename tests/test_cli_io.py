@@ -71,6 +71,10 @@ def test_bad_value_names_key():
         parse_config(MINIMAL + "cfl = 2.0\n")
     with pytest.raises(ValidationError, match="key alphas"):
         parse_config(MINIMAL + "alphas = 0.1 0.2\n")
+    # delta = 0.2: compute_profile's tol < delta/4 rule, checked at parse
+    with pytest.raises(ValidationError,
+                       match=r"^key tol: .*delta/4 = 0\.05.*v_minus - v_plus"):
+        parse_config(MINIMAL + "tol = 0.06\n")
 
 
 def test_alphas_need_three_values():
@@ -88,35 +92,27 @@ def test_duplicate_key_rejected():
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], ["a", "b"], path)
+    emit_csv(np.empty((0, 2)), ["a", "b"], path)
     assert path.read_bytes() == b"a,b\n"
 
 
 def test_emit_csv_roundtrip(tmp_path):
     path = tmp_path / "vals.csv"
-    emit_csv([(0.1, 1, True)], ["x", "n", "flag"], path)
+    emit_csv(np.array([(0.1, 1, True)], dtype=object), ["x", "n", "flag"],
+             path)
     text = path.read_text()
     cell = text.splitlines()[1].split(",")[0]
     assert float(cell) == 0.1
     assert "true" in text
 
 
-def _ragged(k):
-    # k full rows, then a short one
-    for _ in range(k):
-        yield (1.0, 2.0, 3.0)
-    yield (1.0, 2.0)
-
-
 def test_emit_csv_schema_mismatch(tmp_path):
-    # every row is checked before the file is opened
+    # the table is checked before the file is opened
     path = tmp_path / "bad.csv"
     for rows, schema, message in [
-            ([(1.0,)], ["a", "b"], "row 0 has 1 fields, schema has 2"),
+            (np.ones((1, 1)), ["a", "b"], "row 0 has 1 fields, schema has 2"),
             (np.zeros((4, 2)), ["a", "b", "c"],
-             "row 0 has 2 fields, schema has 3"),
-            (_ragged(3), ["a", "b", "c"],
-             "row 3 has 2 fields, schema has 3")]:
+             "row 0 has 2 fields, schema has 3")]:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             emit_csv(rows, schema, path)
         assert not path.exists()
@@ -128,6 +124,7 @@ def test_emit_csv_schema_mismatch(tmp_path):
     ([np.array(1.0)], ["a"], "rows"),
     (np.float64(1.0), ["a"], "rows"),
     ([], [], "schema"),
+    ((row for row in [(1.0,)]), ["a"], "rows"),
 ])
 def test_emit_csv_refusal_names_argument(tmp_path, rows, schema, name):
     path = tmp_path / "bad.csv"
@@ -178,7 +175,7 @@ def test_emit_csv_array_bytes_match_per_cell(csv_path, table):
     st.lists(CELLS, min_size=m, max_size=m), min_size=1, max_size=6)))
 def test_emit_csv_mixed_bytes_match_per_cell(csv_path, rows):
     schema = _schema(len(rows[0]))
-    emit_csv((tuple(row) for row in rows), schema, csv_path)
+    emit_csv(np.array(rows, dtype=object), schema, csv_path)
     assert csv_path.read_bytes() == _per_cell_csv(rows, schema)
 
 
@@ -217,6 +214,27 @@ def test_solve_rerun_identical_apart_from_timing(tmp_path):
                                 "summary.json"]
     assert trees[0] == trees[1]
     assert b"wallclock" not in trees[0]["summary.json"]
+
+
+def test_selftest_writes_through_subcommand_writers(tmp_path):
+    # selftest's profile and sweep files are those of profile and of
+    # converge --profile-only on the battery's fixed run
+    cfg = tmp_path / "selftest.cfg"
+    cfg.write_text("n = 2001\nn_cells = 600\ntau_end = 2.0\n"
+                   "x_samples = 401\nt_samples = 3\nalphas = 0.4 0.2 0.1\n")
+    battery, subs = tmp_path / "selftest", tmp_path / "subs"
+    assert main(["selftest", "--out", str(battery)]) == 0
+    assert main(["converge", "--config", str(cfg), "--out", str(subs),
+                 "--profile-only"]) == 0
+    assert main(["profile", "--v-minus", "1.2", "--v-plus", "1.0",
+                 "--alpha", "0.1", "--n", "2001",
+                 "--out", str(subs / "profile.csv")]) == 0
+    assert sorted(p.name for p in battery.iterdir()) == [
+        "conservation.json", "energy.csv", "fit_summary.json",
+        "profile.csv", "profile.json", "shock.json", "sweep.csv"]
+    for name in ("profile.csv", "profile.json", "sweep.csv",
+                 "fit_summary.json"):
+        assert (battery / name).read_bytes() == (subs / name).read_bytes()
 
 
 def test_cli_shock_exit_codes(capsys):

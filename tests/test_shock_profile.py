@@ -275,3 +275,15 @@ def test_overflowing_tail_rate_names_alpha_and_v_minus(law):
     shock = build_shock(1e3, 1e-3, 0.0, law)
     with pytest.raises(ValidationError, match=r"^alpha 101\.0 .*v_minus 1000"):
         tail_rates(shock, 101.0, law)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_tail_rate_names_v_plus_and_gamma(law):
+    # s = -1e150 is finite, but p'(v_plus) = -2e450 is not; lambda_plus
+    # used to come back as -inf and the profile failed as non-monotone
+    shock = build_shock(1.0, 1e-150, 0.0, law)
+    for call in (lambda: tail_rates(shock, 0.1, law),
+                 lambda: compute_profile(shock, 0.1, law)):
+        with pytest.raises(ValidationError,
+                           match=r"^v_plus 1e-150 .*gamma 2"):
+            call()
