@@ -240,7 +240,7 @@ def _run(cfg: RunConfig, state, observer):
     cap = cfg.dy2_step_factor * state.grid.dy ** 2
     return ls.run(state, cfg.tau_end, observer=observer,
                   observe_every=cfg.observe_every, cfl=cfg.cfl,
-                  max_dtau=cap if cfg.dy2_step_factor > 0.0 else None)
+                  max_dtau=cap if cfg.dy2_step_factor > 0.0 else np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,8 @@ def _wave(shock, alpha, law, tol):
 
 
 def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
-                       omega: OmegaSpec, tol: float = 1e-12) -> float:
+                       omega: OmegaSpec,
+                       tol: float = SolverSizing.profile_tol) -> float:
     """Sup of |v - v_shock| + |u - u_shock| outside the strip, from the
     traveling-wave tails alone.
 

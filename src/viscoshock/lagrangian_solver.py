@@ -258,70 +258,70 @@ class RunRecord:
         return self.v_min >= v_plus / 4.0 and self.v_max <= 2.0 * v_plus
 
 
+def _stop_tol(t):
+    # a stop at time t counts as reached within this much of it
+    return 1e-12 * max(1.0, abs(t))
+
+
 def _targets(tau0, tau_end, observe_every):
     """Stop times after tau0, lazily: the multiples of observe_every short
-    of tau_end by more than the stepping tolerance, then tau_end."""
-    end_tol = tau_end - 1e-12 * max(1.0, tau_end)
+    of tau_end by more than its stop tolerance, then tau_end."""
     k = 1
-    while observe_every is not None and tau0 + k * observe_every < end_tol:
+    while tau0 + k * observe_every < tau_end - _stop_tol(tau_end):
         yield tau0 + k * observe_every
         k += 1
     yield tau_end
 
 
-def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=None,
-                    max_dtau=None):
+def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=math.inf,
+                    max_dtau=math.inf):
     # run's domain from start time tau0; NaN fails every comparison
-    if not tau0 - 1e-15 <= tau_end < math.inf:
+    if not -math.inf < tau0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= the start time")
     if not 0.0 < cfl < 1.0:
         raise ValidationError("cfl must be in (0, 1)")
-    # below the stepping tolerance, uniform stop times would coincide
-    tol = 1e-12 * max(1.0, abs(tau0), abs(tau_end))
-    if observe_every is not None and not observe_every > tol:
+    # within the stop tolerance, uniform stop times would coincide
+    tol = max(_stop_tol(tau0), _stop_tol(tau_end))
+    if not observe_every > tol:
         raise ValidationError(
-            "observe_every must exceed the stepping tolerance "
+            "observe_every must exceed the stop tolerance "
             f"1e-12*max(1, |start|, |tau_end|) = {tol:.3g}")
-    if max_dtau is not None and not max_dtau > 0.0:
+    if not max_dtau > 0.0:
         raise ValidationError("max_dtau must be positive")
 
 
 def run(state: SolverState, tau_end: float, observer=None,
-        observe_every: float | None = None, cfl: float = 0.4,
-        max_dtau: float | None = None):
+        observe_every: float = math.inf, cfl: float = 0.4,
+        max_dtau: float = math.inf):
     """March the state to tau_end, finite and >= state.tau.
 
     The step is the acoustic CFL limit cfl*dy/max|wave speed|, cfl in
-    (0, 1), recomputed from the current volumes, optionally capped by
-    max_dtau > 0 (the convergence tests tie the step to dy**2 this way),
-    and clipped so observation times and tau_end are hit exactly.  The
-    observer, if given, receives the read-only state at each multiple of
-    observe_every after the start time and at tau_end; observe_every
-    must exceed the stepping tolerance 1e-12*max(1, |state.tau|,
-    |tau_end|), and an interval longer than the run, inf included,
-    yields one call at the end.  The volumes are validated once on
-    entry and the loop runs on arrays, building a SolverState only where
-    one is observed and at tau_end.  Returns (final state, RunRecord).
+    (0, 1), from the current volumes, capped by max_dtau > 0 (the
+    convergence tests tie the step to dy**2 this way) and clipped to the
+    next stop: each multiple of observe_every after the start if an
+    observer is given, then tau_end.  A stop t counts as reached within
+    1e-12*max(1, |t|), and the clock is then set to t exactly: the
+    observer sees the read-only state at state.tau + k*observe_every and
+    at tau_end, and the final tau is tau_end.  observe_every must exceed
+    1e-12*max(1, |state.tau|, |tau_end|); an interval past tau_end, inf
+    (the default) included, yields one call, at tau_end.  The loop builds
+    a SolverState only at the stops.  Returns (final state, RunRecord).
     """
     _check_run_args(cfl, state.tau, tau_end, observe_every, max_dtau)
     v = _check_positive_volume(state.v)
 
     v_low = lowest = float(np.min(v))
     highest = float(np.max(v))
-    if tau_end <= state.tau + 1e-15:
-        return state, RunRecord(n_steps=0, v_min=lowest, v_max=highest)
-
     u, tau, bc_u = state.u, state.tau, state.bc_u
     alpha, gamma, dy = state.alpha, state.law.gamma, state.grid.dy
     n_steps = 0
     for target in _targets(tau, tau_end,
-                           None if observer is None else observe_every):
-        while tau < target - 1e-12 * max(1.0, target):
+                           math.inf if observer is None else observe_every):
+        reached = target - _stop_tol(target)
+        while tau < reached:
             try:
-                dt = cfl * dy / _wave_speed(v_low, gamma)
-                if max_dtau is not None:
-                    dt = min(dt, max_dtau)
-                dt = min(dt, target - tau)
+                dt = min(cfl * dy / _wave_speed(v_low, gamma), max_dtau,
+                         target - tau)
                 _check_dtau(dt)
                 v, u, v_low, v_high = _advance(v, u, bc_u, alpha, gamma,
                                                dy, dt)
@@ -332,8 +332,8 @@ def run(state: SolverState, tau_end: float, observer=None,
             n_steps += 1
             lowest = min(lowest, v_low)
             highest = max(highest, v_high)
-        if observer is not None or target == tau_end:
-            state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau)
-            if observer is not None:
-                observer(state)
+        tau = target
+        state = replace(state, v=_freeze(v), u=_freeze(u), tau=tau)
+        if observer is not None:
+            observer(state)
     return state, RunRecord(n_steps=n_steps, v_min=lowest, v_max=highest)

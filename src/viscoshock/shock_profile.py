@@ -66,24 +66,40 @@ def _rhs_slope(V, shock, alpha, law):
             / (alpha * abs(shock.s)))
 
 
+# The wave is about alpha wide in xi.  From alpha near 1e-103 down, its
+# interpolating cubics overflow a double (seen for delta 0.2 and 4, at
+# n = 4,001 and 200,001); the floor keeps a margin of 1e3.
+_ALPHA_FLOOR = 1e-100
+
+
+def _check_alpha(alpha):
+    # NaN fails every comparison
+    if not 0.0 < alpha < math.inf:
+        raise ValidationError("alpha must be positive and finite")
+    if alpha < _ALPHA_FLOOR:
+        raise ValidationError(
+            f"alpha {alpha} is too small: below {_ALPHA_FLOOR:g} the wave, "
+            "about alpha wide, is too narrow for double precision")
+
+
 def tail_rates(shock: ShockData, alpha: float, law: PressureLaw):
     """Exact linearised decay rates (lambda_minus > 0, lambda_plus < 0).
 
     Raises ValidationError when alpha is so large for v_minus that
     lambda_minus, which grows as v_minus**(1+alpha), overflows, and when
     v_plus is so small for gamma that p'(v_plus), and so lambda_plus,
-    overflows.
+    overflows.  alpha must be positive, finite and at least 1e-100.
     """
+    _check_alpha(alpha)
+
     def rate(v):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float((shock.s ** 2 + d_pressure(v, law))
-                             * v ** (1.0 + alpha) / (abs(shock.s) * alpha))
-        except OverflowError:
-            return math.inf
+        v = np.float64(v)   # overflows to inf where a float would raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((shock.s ** 2 + d_pressure(v, law))
+                         * v ** (1.0 + alpha) / (abs(shock.s) * alpha))
 
     lam_m = rate(shock.v_minus)
-    if lam_m == math.inf:
+    if not math.isfinite(lam_m):
         raise ValidationError(
             f"alpha {alpha} is too large for v_minus {shock.v_minus}: "
             "the tail rate lambda_minus overflows")
@@ -196,8 +212,7 @@ def _auto_grid(cut_l, cut_r, n):
 def _check_profile_args(alpha, tol, n, delta):
     # compute_profile's domain for a shock of strength delta; NaN fails
     # every comparison
-    if not 0.0 < alpha < math.inf:
-        raise ValidationError("alpha must be positive and finite")
+    _check_alpha(alpha)
     if not 0.0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
     if not (isinstance(n, numbers.Integral) and n >= 33):

@@ -256,13 +256,14 @@ def test_criterion_7_vanishing_viscosity(shock, law):
 
 
 def test_criterion_8_selftest_determinism(tmp_path):
-    """Two selftest invocations produce byte-identical output trees."""
+    """Two selftest invocations produce byte-identical output trees,
+    with a numpy RuntimeWarning an error in both."""
     trees = []
     for name in ("a", "b"):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "viscoshock.cli_io", "selftest",
-             "--out", str(out)],
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "viscoshock.cli_io", "selftest", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         trees.append(out)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ def test_bad_value_names_key():
     with pytest.raises(ValidationError,
                        match=r"^key tol: .*delta/4 = 0\.05.*v_minus - v_plus"):
         parse_config(MINIMAL + "tol = 0.06\n")
+    # below the floor the wave is too narrow for double precision
+    with pytest.raises(ValidationError,
+                       match=r"^key alpha: 1e-200 is too small"):
+        parse_config(MINIMAL + "alpha = 1e-200\n")
 
 
 def test_alphas_need_three_values():
@@ -216,6 +221,33 @@ def test_solve_rerun_identical_apart_from_timing(tmp_path):
     assert b"wallclock" not in trees[0]["summary.json"]
 
 
+def test_solve_and_energy_at_the_start_time(tmp_path):
+    # tau_end = 0 takes no step, and its one stop is still observed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL + "n_cells = 200\ntau_end = 0\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "obs_0000.csv", "summary.json", "timing.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["observations"] == [0.0] and summary["steps"] == 0
+    energy = tmp_path / "energy.csv"
+    assert main(["energy", "--config", str(cfg), "--out", str(energy)]) == 0
+    rows = energy.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "0"]
+
+
+def test_readme_config_block_is_the_default_config():
+    # the README lists every key at its default value
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config files", 1)[1].split("```")[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line.split("#", 1)[0]]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+    assert len(keys) == 25
+    assert parse_config(block) == RunConfig()
+
+
 def test_selftest_writes_through_subcommand_writers(tmp_path):
     # selftest's profile and sweep files are those of profile and of
     # converge --profile-only on the battery's fixed run
@@ -351,8 +383,9 @@ def test_config_refuses_by_name_or_builds(key, value):
 
 def _cli(*argv):
     # a subprocess with a timeout, so a hang fails the test instead of
-    # stalling the suite
-    return subprocess.run([sys.executable, "-m", "viscoshock.cli_io", *argv],
+    # stalling the suite; a numpy RuntimeWarning is an error there too
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "viscoshock.cli_io", *argv],
                           capture_output=True, text=True, timeout=60)
 
 

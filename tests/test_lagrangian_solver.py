@@ -1,7 +1,10 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dptsv
 
@@ -287,8 +290,9 @@ def test_run_empty(reference_profile):
     grid = Grid1D(y_min=-65.0, y_max=55.0, n_cells=200)
     state = init_state(reference_profile, grid)
     final, record = run(state, state.tau, cfl=0.4)
-    assert final is state
     assert record.n_steps == 0
+    for f in fields(SolverState):
+        assert np.array_equal(getattr(final, f.name), getattr(state, f.name))
 
 
 def test_run_observer_scheduling(law):
@@ -297,14 +301,12 @@ def test_run_observer_scheduling(law):
     taus = []
     _, record = run(state, 1.0, observer=lambda s: taus.append(s.tau),
                     observe_every=10.0, cfl=0.4)
-    assert len(taus) == 1
-    assert taus[0] == pytest.approx(1.0, abs=1e-12)
+    assert taus == [1.0]
 
     taus = []
     run(state, 1.0, observer=lambda s: taus.append(s.tau),
         observe_every=0.25, cfl=0.4)
-    assert len(taus) == 4
-    assert taus == pytest.approx([0.25, 0.5, 0.75, 1.0], abs=1e-9)
+    assert taus == [0.25, 0.5, 0.75, 1.0]
 
 
 def test_run_from_nonzero_start_stops_at_tau_end(law):
@@ -313,8 +315,44 @@ def test_run_from_nonzero_start_stops_at_tau_end(law):
     taus = []
     final, record = run(state, 8.0, observer=lambda s: taus.append(s.tau),
                         observe_every=1.0, cfl=0.4)
-    assert taus == pytest.approx([6.0, 7.0, 8.0], abs=1e-12)
-    assert final.tau == pytest.approx(8.0, abs=1e-12)
+    assert taus == [6.0, 7.0, 8.0]
+    assert final.tau == 8.0
+
+
+def _stop_tol(t):
+    # run's documented stop tolerance
+    return 1e-12 * max(1.0, abs(t))
+
+
+_SCHEDULE_STATE = init_constant(Grid1D(y_min=-5.0, y_max=5.0, n_cells=16),
+                                1.0, 0.0, 0.1, PressureLaw(2.0))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(tau0=st.floats(-1e6, 1e6),
+       span=st.one_of(st.just(0.0), st.floats(1e-9, 2.0),
+                      st.floats(0.0, 0.99).map(lambda f: -f)),
+       every=st.one_of(st.just(math.inf), st.floats(0.1, 4.0)))
+def test_run_schedule_is_exact_from_any_start(tau0, span, every):
+    # a negative span stands for a fraction of the stop tolerance
+    if span < 0.0:
+        span = -span * _stop_tol(tau0)
+    tau_end = tau0 + span
+    state = replace(_SCHEDULE_STATE, tau=tau0)
+    expected, k = [], 1
+    while tau0 + k * every < tau_end - _stop_tol(tau_end):
+        expected.append(tau0 + k * every)
+        k += 1
+    seen = []
+    final, record = run(state, tau_end, observer=lambda s: seen.append(s.tau),
+                        observe_every=every)
+    assert seen == expected + [tau_end]
+    assert final.tau == tau_end
+    plain, plain_record = run(state, tau_end)
+    assert plain.tau == tau_end
+    if not tau0 < tau_end - _stop_tol(tau_end):   # the start is the stop
+        assert record.n_steps == plain_record.n_steps == 0
+        assert np.array_equal(final.v, state.v)
 
 
 def test_run_respects_max_dtau(law):
@@ -405,6 +443,9 @@ def test_run_refuses_non_finite_times(law):
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValidationError, match="tau_end"):
             run(state, bad)
+    # an infinite start used to pass the check and never leave the loop
+    with pytest.raises(ValidationError, match="^tau_end .* start time"):
+        run(replace(state, tau=-float("inf")), 0.1)
     with pytest.raises(ValidationError, match="observe_every"):
         run(state, 0.1, observer=lambda s: None, observe_every=float("nan"))
     with pytest.raises(ValidationError, match="max_dtau"):

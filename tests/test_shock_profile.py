@@ -278,6 +278,21 @@ def test_overflowing_tail_rate_names_alpha_and_v_minus(law):
 
 
 @pytest.mark.filterwarnings("error")
+def test_tiny_alpha_refused_as_too_small(shock, law):
+    # 1e-110 to 1e-160 used to build after overflow warnings or fail as
+    # non-monotone, 1e-170 to 1e-300 failed the integration, and 1e-310
+    # and 1e-320 were called too large for v_minus
+    assert verify_profile_properties(compute_profile(shock, 1e-100, law),
+                                     h_probe=0.0).all_ok
+    for alpha in (1e-110, 1e-120, 1e-130, 1e-140, 1e-150, 1e-160, 1e-170,
+                  1e-200, 1e-300, 1e-310, 1e-320):
+        for call in (tail_rates, compute_profile):
+            with pytest.raises(ValidationError,
+                               match=rf"^alpha {alpha!r} is too small"):
+                call(shock, alpha, law)
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflowing_tail_rate_names_v_plus_and_gamma(law):
     # s = -1e150 is finite, but p'(v_plus) = -2e450 is not; lambda_plus
     # used to come back as -inf and the profile failed as non-monotone
