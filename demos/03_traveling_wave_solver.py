@@ -1,6 +1,6 @@
 """Evolve profile-prepared data and watch the wave travel unchanged.
 
-The sampled traveling wave is an exact solution of the stretched-frame
+The traveling wave is an exact solution of the stretched-frame
 system, so the only deviation the solver produces is truncation error;
 refining the grid (with the step tied to dy**2) shrinks it at second
 order.
@@ -14,7 +14,7 @@ from viscoshock import (Grid1D, PressureLaw, build_shock, compute_profile,
 
 law = PressureLaw(gamma=2.0)
 shock = build_shock(1.2, 1.0, 0.0, law)
-profile = compute_profile(shock, 0.1, law, tol=1e-12, n=20001)
+profile = compute_profile(shock, 0.1, law, tol=1e-12)
 
 print("grid refinement, error against the exact traveling wave at tau=5:")
 prev = None

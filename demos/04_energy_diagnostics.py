@@ -17,7 +17,7 @@ from viscoshock import (EnergyReport, Grid1D, PressureLaw, build_shock,
 
 law = PressureLaw(gamma=2.0)
 shock = build_shock(1.2, 1.0, 0.0, law)
-profile = compute_profile(shock, 0.1, law, tol=1e-12, n=20001)
+profile = compute_profile(shock, 0.1, law, tol=1e-12)
 grid = Grid1D(y_min=-70.0, y_max=52.0, n_cells=1600)
 
 

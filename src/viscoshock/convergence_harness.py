@@ -78,26 +78,17 @@ class SolverSizing:
             raise ValidationError("tau_max must be positive")
 
 
-_WAVE_SAMPLES = 20001
-
-
-def _wave(shock, alpha, law, tol):
-    # the one traveling wave per viscosity that both error measures read
-    return compute_profile(shock, alpha, law, tol=tol, n=_WAVE_SAMPLES)
-
-
 def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
                        omega: OmegaSpec,
                        tol: float = SolverSizing.profile_tol) -> float:
     """Sup of |v - v_shock| + |u - u_shock| outside the strip, from the
     traveling-wave tails alone.
 
-    The wave error depends only on the distance to the ray and decays
-    monotonically, so the supremum over the wedge is attained at
-    distance h on whichever side decays slower.  The wave is the one a
-    sweep entry uses: tolerance tol, 20,001 samples.
+    The wave error, from the wave a sweep entry builds at tolerance tol,
+    depends only on the distance to the ray and decays monotonically, so
+    the supremum over the wedge sits at distance h on the slower side.
     """
-    return _tail_error(_wave(shock, alpha, law, tol), omega)
+    return _tail_error(compute_profile(shock, alpha, law, tol=tol), omega)
 
 
 def _tail_error(profile, omega):
@@ -142,8 +133,8 @@ def full_error(shock: ShockData, alpha: float, law: PressureLaw,
     always including the two points exactly at distance h from the ray
     where the supremum of the wave error sits.
     """
-    return _full_error(_wave(shock, alpha, law, sizing.profile_tol), omega,
-                       sizing)
+    return _full_error(compute_profile(shock, alpha, law,
+                                       tol=sizing.profile_tol), omega, sizing)
 
 
 def _full_error(profile, omega, sizing):
@@ -229,9 +220,9 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
                 sizing: SolverSizing = SolverSizing()) -> SweepResult:
     """Run the error measurements over a strictly decreasing alpha list.
 
-    Each entry builds one wave (sizing.profile_tol, 20,001 samples) and
-    reads both errors from it.  A ViscoshockError refusing an entry is
-    recorded and the sweep continues; other exceptions propagate.
+    Each entry builds one wave at sizing.profile_tol and reads both
+    errors from it.  A ViscoshockError refusing an entry is recorded and
+    the sweep continues; other exceptions propagate.
     """
     alphas = _check_alphas(alphas)
     nan = float("nan")
@@ -239,7 +230,7 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
                       failures={})
     for a in alphas:
         try:
-            wave = _wave(shock, a, law, sizing.profile_tol)
+            wave = compute_profile(shock, a, law, tol=sizing.profile_tol)
             e_p = _tail_error(wave, omega)
             full = _full_error(wave, omega, sizing) if include_full else None
         except ViscoshockError as exc:

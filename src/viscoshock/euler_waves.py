@@ -63,6 +63,13 @@ def d_pressure(v, law: PressureLaw):
     return -law.gamma * v ** (-law.gamma - 1.0)
 
 
+def _pressure_gap(x, y, gamma):
+    # p(x) - p(y) = y**-gamma * expm1(-gamma*log1p((x - y)/y)): to rounding
+    # for x >= y/2, also as x nears y, where raw powers cancel
+    return (np.power(y, -gamma, dtype=float)
+            * np.expm1(-gamma * np.log1p((x - y) / y)))
+
+
 def lambda1(v, law: PressureLaw):
     """First characteristic speed -sqrt(-p'(v)) of the inviscid system."""
     return -np.sqrt(-d_pressure(v, law))
@@ -106,7 +113,7 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
             f"v_plus={v_plus}: not a 1-shock, which requires v_minus > v_plus")
 
     with np.errstate(over="ignore", invalid="ignore"):  # tiny v_plus
-        s = -np.sqrt((pressure(v_plus, law) - pressure(v_minus, law))
+        s = -np.sqrt(-_pressure_gap(v_minus, v_plus, law.gamma)
                      / (v_minus - v_plus))
     if not np.isfinite(s):
         raise ValidationError(f"v_plus {v_plus} is too small for gamma "
@@ -129,7 +136,7 @@ def rh_residuals(shock: ShockData, law: PressureLaw):
     """
     dv = shock.v_plus - shock.v_minus
     du = shock.u_plus - shock.u_minus
-    dp = pressure(shock.v_plus, law) - pressure(shock.v_minus, law)
+    dp = -_pressure_gap(shock.v_minus, shock.v_plus, law.gamma)
     r1 = -shock.s * dv - du
     r2 = -shock.s * du + dp
     scale = max(abs(shock.s * shock.delta), abs(dp))

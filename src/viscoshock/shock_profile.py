@@ -25,10 +25,11 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import NumericalError, ValidationError
-from .euler_waves import PressureLaw, ShockData, d_pressure, pressure
+from .euler_waves import (PressureLaw, ShockData, _pressure_gap, d_pressure,
+                          pressure)
 
 __all__ = [
     "ViscousProfile",
@@ -46,8 +47,7 @@ def _chord_gap(V, shock, law):
     # pressure gap in expm1 form: raw powers cancel there for weak shocks
     e = np.where(V < 0.5 * (shock.v_minus + shock.v_plus), shock.v_plus,
                  shock.v_minus)
-    return (shock.s ** 2 * (V - e)
-            + e ** -law.gamma * np.expm1(-law.gamma * np.log1p((V - e) / e)))
+    return shock.s ** 2 * (V - e) + _pressure_gap(V, e, law.gamma)
 
 
 def _rhs_unchecked(V, shock, alpha, law):
@@ -65,8 +65,8 @@ def _rhs_slope(V, shock, alpha, law):
 
 
 # The wave is about alpha wide in xi.  From alpha near 1e-103 down, its
-# interpolating cubics overflow a double (seen for delta 0.2 and 4, at
-# n = 4,001 and 200,001); the floor keeps a margin of 1e3.
+# quadrature splines' cubics overflow a double (seen from 1e-103 for
+# delta 4, from 1e-104 for delta 0.2); the floor keeps a margin of 1e3.
 _ALPHA_FLOOR = 1e-100
 
 
@@ -119,31 +119,32 @@ def _beyond(xi, tails):
     return xi <= tails[0][0], xi >= tails[1][0]
 
 
-def _join(xi, core, shock, tails):
-    """The wave at the points xi: core(xi) strictly between the cutoffs,
+def _join(xi, sides, v0, shock, tails):
+    """The wave at the points xi: V = end + (v0 - end)*e**a from the
+    quadrature spline a(xi) of either side strictly between the cutoffs,
     the exact linearised tail on and beyond each; tails holds (xi_cut,
     V at xi_cut, decay rate) for either side."""
-    left, right = _beyond(xi, tails)
-    inside = ~(left | right)
-    out = np.empty_like(xi)
-    out[inside] = core(xi[inside])
-    for mask, (cut, v_cut, rate), end in ((left, tails[0], shock.v_minus),
-                                          (right, tails[1], shock.v_plus)):
-        out[mask] = end + (v_cut - end) * np.exp(rate * (xi[mask] - cut))
+    out = np.where(xi == 0.0, v0, np.nan)   # a NaN xi reads NaN
+    for spline, (cut, v_cut, rate), end, side, beyond in zip(
+            sides, tails, (shock.v_minus, shock.v_plus), (xi < 0.0, xi > 0.0),
+            _beyond(xi, tails)):
+        core = side & ~beyond
+        out[core] = end + (v0 - end) * np.exp(spline(xi[core]))
+        out[beyond] = end + (v_cut - end) * np.exp(rate * (xi[beyond] - cut))
     return out
 
 
 @dataclass
 class ViscousProfile:
-    """Sampled traveling wave with analytic tail continuation.
+    """Traveling wave by quadrature, with analytic tail continuation.
 
-    xi_grid holds the traveling coordinate (position minus shock
-    displacement in the unscaled frame).  Strictly between the cutoffs
-    xi_cut_left and xi_cut_right the wave interpolates the samples; on
-    and beyond each cutoff it is the exact exponential tail through the
-    cutoff value, so evaluation is defined on the whole line
-    and reproduces the samples: eval_V(xi_grid) equals V.  Instances
-    are immutable by convention; the sample arrays are marked read-only.
+    Strictly between the cutoffs xi_cut_left and xi_cut_right the wave is
+    read from the quadrature's spline on either side of xi = 0; on and
+    beyond each cutoff it is the exact exponential tail through the
+    cutoff value.  xi_grid holds the traveling coordinate (position minus
+    shock displacement in the unscaled frame) of the output samples, and
+    eval_V(xi_grid) equals V.  Instances are immutable by convention; the
+    sample arrays are marked read-only.
     """
 
     shock: ShockData
@@ -159,13 +160,14 @@ class ViscousProfile:
     xi_cut_left: float
     xi_cut_right: float
     law: PressureLaw = field(repr=False)
-    _interp: PchipInterpolator = field(repr=False)
+    _sides: tuple = field(repr=False)
     _tails: tuple = field(repr=False)
 
     def eval_V(self, xi):
         """Volume at traveling coordinate(s) xi, tails included."""
         xi = np.asarray(xi, dtype=float)
-        out = _join(np.atleast_1d(xi), self._interp, self.shock, self._tails)
+        out = _join(np.atleast_1d(xi), self._sides, self.normalization,
+                    self.shock, self._tails)
         return float(out[0]) if xi.ndim == 0 else out
 
     def eval_dV(self, xi):
@@ -263,18 +265,19 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
 
     On each side of xi = 0 the wave's inverse is the quadrature
     xi(V) = int dW/f(W), taken out to the tail cutoff, where the wave is
-    within eps_tail of that end state.  The n uniform samples cover
-    [xi_cut_left, xi_cut_right], with a node at xi = 0 and exactly one
-    node on or past each cutoff, where the linearised tail takes over.
+    within eps_tail of that end state.  The n uniform output samples
+    cover [xi_cut_left, xi_cut_right], with a node at xi = 0 and exactly
+    one node on or past each cutoff, where the linearised tail takes over.
 
     Parameters
     ----------
     shock : admissible backward shock fixing end states and speed.
     alpha : viscosity exponent, positive and finite.
-    tol : in (0, delta/4); each sample strictly between the cutoffs is
-        within tol*v_minus of the exact wave (tol under 1e-14 counts as
-        1e-14).  Sets eps_tail = max(min(tol, 1e-6*delta), 1e-10*delta).
-    n : number of grid samples, an integer of at least 33.
+    tol : in (0, delta/4); eval_V strictly between the cutoffs is within
+        tol*v_minus of the exact wave (tol under 1e-14 counts as 1e-14).
+        Sets eps_tail = max(min(tol, 1e-6*delta), 1e-10*delta).
+    n : number of output samples on xi_grid, an integer of at least 33;
+        it sets the sampling only, not the accuracy of eval_V.
     normalization : volume at xi = 0; defaults to the midpoint of the
         end states.  The wave is unique up to translation, so this only
         fixes the phase.
@@ -291,26 +294,17 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
 
     lam_m, lam_p = tail_rates(shock, alpha, law)
     target = max(tol, 1e-14) * vm   # under 1e-14 the estimate reads rounding
-    sides = [_wave_side(shock, alpha, law, v0, end, eps_tail, target)
-             for end in (vm, vp)]
+    sides = tuple(_wave_side(shock, alpha, law, v0, end, eps_tail, target)
+                  for end in (vm, vp))
     # each side's outermost knot is its cutoff, V = end -+ eps_tail
     tails = ((sides[0].x[0], vm - eps_tail, lam_m),
              (sides[1].x[-1], vp + eps_tail, lam_p))
     xi = _auto_grid(tails[0][0], tails[1][0], n)
-
-    def core(x):
-        out = np.full(x.shape, v0)
-        for spline, end, side in zip(sides, (vm, vp), (x < 0.0, x > 0.0)):
-            out[side] = end + (v0 - end) * np.exp(spline(x[side]))
-        return out
-
-    V = _join(xi, core, shock, tails)
+    V = _join(xi, sides, v0, shock, tails)
     if np.any(V <= vp) or np.any(V >= vm) or np.any(np.diff(V) >= 0.0):
         raise NumericalError("profile samples violate strict monotone bounds")
 
     U = _first_integral(shock, V)
-
-    interp = PchipInterpolator(xi, V)
     for arr in (xi, V, U):
         arr.setflags(write=False)
     return ViscousProfile(
@@ -318,7 +312,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         lambda_minus=lam_m, lambda_plus=lam_p, normalization=v0,
         eps_tail=eps_tail, tol=tol,
         xi_cut_left=tails[0][0], xi_cut_right=tails[1][0],
-        law=law, _interp=interp, _tails=tails)
+        law=law, _sides=sides, _tails=tails)
 
 
 def profile_residual(profile: ViscousProfile) -> float:

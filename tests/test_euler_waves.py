@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_rh_residuals_close(shock, law):
     r1, r2 = rh_residuals(shock, law)
     assert abs(r1) <= 1e-12
     assert abs(r2) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-2])
+def test_shock_speed_to_rounding(gamma, delta):
+    # against exact rational arithmetic on the stored end states: raw
+    # powers of volumes near 1 cancel, which put s 1e-11 relative off at
+    # delta 1e-6.  s**2 within 8e-16 relative puts s within 4e-16.
+    law = PressureLaw(float(gamma))
+    sh = build_shock(1.0 + delta, 1.0, 0.0, law)
+    vm, vp = Fraction(sh.v_minus), Fraction(sh.v_plus)
+    exact = (vp ** -gamma - vm ** -gamma) / (vm - vp)
+    assert abs(Fraction(sh.s) ** 2 / exact - 1) <= 8e-16
+    # the accurate speed against a raw pressure jump read 2e-11 here
+    assert max(map(abs, rh_residuals(sh, law))) <= 1e-15
 
 
 def test_randomized_shocks_close_and_admissible():
