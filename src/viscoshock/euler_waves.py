@@ -131,16 +131,18 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
 def rh_residuals(shock: ShockData, law: PressureLaw):
     """Relative residuals of the two jump relations.
 
-    Both are normalised by max(|s*delta|, |p jump|) so a correctly built
-    shock returns values at rounding level (<= 1e-12).
+    Each is normalised by the larger of its own two terms, mass by
+    max(|s*[v]|, |[u]|) and momentum by max(|s*[u]|, |[p]|), so a correctly
+    built shock returns values at rounding level (<= 1e-12) and a wrong
+    speed reads its own size at every shock strength.
     """
     dv = shock.v_plus - shock.v_minus
     du = shock.u_plus - shock.u_minus
     dp = -_pressure_gap(shock.v_minus, shock.v_plus, law.gamma)
     r1 = -shock.s * dv - du
     r2 = -shock.s * du + dp
-    scale = max(abs(shock.s * shock.delta), abs(dp))
-    return float(r1 / scale), float(r2 / scale)
+    return (float(r1 / max(abs(shock.s * dv), abs(du))),
+            float(r2 / max(abs(shock.s * du), abs(dp))))
 
 
 @dataclass(frozen=True)

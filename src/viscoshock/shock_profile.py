@@ -25,7 +25,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import NumericalError, ValidationError
 from .euler_waves import (PressureLaw, ShockData, _pressure_gap, d_pressure,
@@ -189,6 +188,44 @@ class ViscousProfile:
         return out
 
 
+class _Hermite:
+    """Piecewise cubic Hermite through knots x, values y and slopes d,
+    extended by the end cubics.  Its coefficients and its evaluation order
+    are those of scipy's CubicHermiteSpline and PPoly, so it reads the
+    same bits, and the package need not import scipy.interpolate."""
+
+    def __init__(self, x, y, d):
+        if not all(np.all(np.isfinite(v)) for v in (x, y, d)):
+            raise NumericalError("wave quadrature gave non-finite knots")
+        dx = np.diff(x)
+        if not np.all(dx > 0.0):
+            raise NumericalError(
+                "wave quadrature knots are not strictly increasing")
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2.0 * slope) / dx
+        self.x = x
+        # searchsorted over the inner knots is searchsorted(x) - 1 clipped
+        # to the intervals [0, m - 2]: x[k] <= q < x[k + 1] inside
+        self._inner = x[1:-1]
+        self._c = (t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1], x[:-1])
+
+    def __call__(self, q):
+        k = np.searchsorted(self._inner, q, side="right")
+        c0, c1, c2, c3, xk = (c.take(k) for c in self._c)
+        s = q - xk
+        # PPoly's order, which fixes the rounding: c3 + c2*s, then
+        # + c1*(s*s), then + c0*((s*s)*s); in place, sparing temporaries
+        r = c2 * s
+        r += c3
+        s2 = s * s
+        c1 *= s2
+        r += c1
+        s2 *= s
+        s2 *= c0
+        r += s2
+        return r
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)   # 8-point
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # [0, 1]
 # panels per unit of log amplitude, times (amplitude/error)**(1/4): the
@@ -222,13 +259,13 @@ def _wave_side(shock, alpha, law, v0, end, eps_tail, target):
         x = np.concatenate(([0.0], np.cumsum(
             h * (dxi_da(a[:-1, None] - h * _GL_NODES) @ _GL_WEIGHTS))))
         slope = -1.0 / dxi_da(a)
-        half = CubicHermiteSpline(x[::2], a[::2], slope[::2])
+        half = _Hermite(x[::2], a[::2], slope[::2])
         err = np.max(np.exp(a[1::2]) * np.abs(half(x[1::2]) - a[1::2]))
         err *= abs(amp0) / 8.0   # the full spline: ~1/16 of this, so 2x spare
         if err <= target:
             if amp0 < 0.0:   # the left side, xi < 0: knots in increasing xi
                 x, a, slope = -x[::-1], a[::-1], -slope[::-1]
-            return CubicHermiteSpline(x, a, slope)
+            return _Hermite(x, a, slope)
         if not err < math.inf:   # a wave too narrow for double precision
             break
         m = 2 * math.ceil(0.6 * len(a) * (err / target) ** 0.25)
@@ -392,9 +429,10 @@ def verify_profile_properties(profile: ViscousProfile,
 
     Tail rates are fitted on log-amplitude over the region |xi| >= h_probe
     restricted to the clean exponential window (amplitudes between
-    1e3*eps_tail and 3% of the jump); the fit must match the analytic
-    rates within 5% for rates_ok.  Derivative sups are taken along the
-    exact ODE flow (dense in V), not from grid differences.
+    1e3*eps_tail and 3% of the smaller of delta and that side's end
+    state); the fit must match the analytic rates within 5% for rates_ok.
+    Derivative sups are taken along the exact ODE flow (dense in V), not
+    from grid differences.
     """
     shock = profile.shock
     vp, vm = shock.v_plus, shock.v_minus
@@ -404,9 +442,14 @@ def verify_profile_properties(profile: ViscousProfile,
                      and np.all(U > shock.u_plus) and np.all(U < shock.u_minus))
     monotone_ok = bool(np.all(np.diff(V) < 0.0) and np.all(np.diff(U) < 0.0))
 
-    lo, hi = 1e3 * profile.eps_tail, 0.03 * shock.delta
-    fit_l = _fit_tail_rate(xi, np.abs(V - vm), h_probe, lo, hi, -1.0)
-    fit_r = _fit_tail_rate(xi, np.abs(V - vp), h_probe, lo, hi, 1.0)
+    # past 3% of the jump, or of v_plus on the right of a strong shock,
+    # the wave bends away from its linearised tail; delta < v_minus, so
+    # the left window needs no cap
+    lo = 1e3 * profile.eps_tail
+    fit_l = _fit_tail_rate(xi, np.abs(V - vm), h_probe, lo,
+                           0.03 * shock.delta, -1.0)
+    fit_r = _fit_tail_rate(xi, np.abs(V - vp), h_probe, lo,
+                           0.03 * min(shock.delta, vp), 1.0)
     err_l = abs(fit_l - profile.lambda_minus) / abs(profile.lambda_minus)
     err_r = abs(fit_r - profile.lambda_plus) / abs(profile.lambda_plus)
     rates_ok = bool(err_l <= 0.05 and err_r <= 0.05)   # False for NaN

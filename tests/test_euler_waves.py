@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,25 @@ def test_rh_residuals_close(shock, law):
     r1, r2 = rh_residuals(shock, law)
     assert abs(r1) <= 1e-12
     assert abs(r2) <= 1e-12
+
+
+@pytest.mark.parametrize("v_minus, v_plus, gamma", [
+    (1e300, 1e-10, 3.0),   # s = -1e-135: one shared scale read -2.0e-138
+    (1e6, 1.0, 2.0),       # read -2.0e-6
+    (1.2, 1.0, 2.0),       # the default shock, read -2.0e-3
+])
+def test_rh_residuals_read_a_wrong_speed_at_every_strength(v_minus, v_plus,
+                                                           gamma):
+    # each relation is scaled by its own terms, so a speed 1e-3 off, with
+    # u_plus recomputed from it, reads s**2/s_wrong**2 - 1 in momentum
+    law = PressureLaw(gamma)
+    sh = build_shock(v_minus, v_plus, 0.0, law)
+    s = sh.s * (1.0 + 1e-3)
+    wrong = replace(sh, s=s, u_plus=sh.u_minus - s * (v_plus - v_minus))
+    r1, r2 = rh_residuals(wrong, law)
+    assert abs(r1) <= 1e-15
+    assert r2 == pytest.approx((1.0 + 1e-3) ** -2 - 1.0, rel=1e-9)
+    assert max(map(abs, rh_residuals(sh, law))) <= 1e-15
 
 
 @pytest.mark.parametrize("gamma", [1, 2, 3])

@@ -43,12 +43,15 @@ def test_removed_parameters_are_gone(shock, law, profile):
     assert not names & {"v_min", "v_max"}
 
 
-def test_import_leaves_scipy_integrate_out():
-    # the wave is a quadrature of its own, and nothing else needs
-    # scipy.integrate, whose import adds 28-42 ms to every start (on a
-    # 2-core Intel Xeon); so nothing in the package may pull it in
-    code = "import sys, viscoshock; print('scipy.integrate' in sys.modules)"
+def test_import_loads_only_scipy_linalg():
+    # the wave is a quadrature of its own with a cubic of its own, and
+    # the stepper needs only LAPACK's dptsv: scipy.interpolate alone, with
+    # optimize, sparse, spatial and special behind it, added about 0.2 s
+    # and 20 MB to every start (on a 2-core Intel Xeon)
+    code = ("import sys, viscoshock; print(sorted(n for n, m in "
+            "sys.modules.items() if n.startswith('scipy.') and n.count('.') "
+            "== 1 and not n.startswith('scipy._') and hasattr(m, '__path__')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "['scipy.linalg']"

@@ -352,6 +352,53 @@ def test_quadrature_within_tol(monkeypatch, law, kwargs, v_minus):
         assert np.array_equal(other.eval_V(points), prof.eval_V(points))
 
 
+@pytest.mark.parametrize("kwargs", [{}, HARNESS], ids=["default", "harness"])
+@pytest.mark.parametrize("alpha", [0.4, 0.05])   # criterion 7's ends
+def test_cubic_reads_scipys_bits(monkeypatch, shock, law, kwargs, alpha):
+    # every cubic a build makes, the self-check's halves included, against
+    # scipy's CubicHermiteSpline through the same knots: at every knot, at
+    # the midpoints and at random points inside and outside the knots
+    from scipy.interpolate import CubicHermiteSpline
+    cubic, built = shock_profile._Hermite, []
+
+    def recorded(x, y, d):
+        built.append((x, y, d))
+        return cubic(x, y, d)
+
+    monkeypatch.setattr(shock_profile, "_Hermite", recorded)
+    compute_profile(shock, alpha, law, **kwargs)
+    assert len(built) >= 4
+    rng = np.random.default_rng(7)
+    for x, y, d in built:
+        pad = 0.1 * (x[-1] - x[0])
+        q = np.concatenate((x, 0.5 * (x[1:] + x[:-1]),
+                            rng.uniform(x[0] - pad, x[-1] + pad, 20000)))
+        assert np.array_equal(cubic(x, y, d)(q),
+                              CubicHermiteSpline(x, y, d)(q))
+
+
+def test_cubic_refuses_bad_knots_as_numerical():
+    # scipy's input checks, which used to escape as a bare ValueError
+    x, y, d = np.arange(4.0), np.zeros(4), np.ones(4)
+    nan, inf = float("nan"), float("inf")
+    for bad in ((x[::-1], y, d), ([0.0, 1.0, 1.0, 2.0], y, d),
+                ([0.0, nan, 2.0, 3.0], y, d), ([0.0, 1.0, 2.0, inf], y, d),
+                (x, [0.0, nan, 0.0, 0.0], d), (x, y, [1.0, 1.0, -inf, 1.0])):
+        with pytest.raises(NumericalError, match="^wave quadrature"):
+            shock_profile._Hermite(*map(np.asarray, bad))
+
+
+@pytest.mark.filterwarnings("error")
+def test_strong_shock_fits_its_right_tail_below_v_plus():
+    # the right fit window reached 0.03*delta = 15*v_plus, deep into the
+    # nonlinear part of the wave: the fitted rate was 19.3% off
+    law = PressureLaw(3.0)
+    rep = verify_profile_properties(
+        compute_profile(build_shock(50.0, 0.1, 0.0, law), 0.1, law), 0.0)
+    assert rep.rate_rel_err_right <= 0.01
+    assert rep.rates_ok and rep.all_ok
+
+
 def test_profile_refusals_name_the_argument(shock, law):
     nan, inf = float("nan"), float("inf")
     for kwargs, name in (({"tol": nan}, "tol"), ({"tol": inf}, "tol")):
