@@ -16,12 +16,13 @@ the total-mass telescoping identity exact) and the velocity deviation
 with the trapezoidal rule.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .euler_waves import d_pressure, pressure
+from .errors import NumericalError, ValidationError
+from .euler_waves import _check_positive_volume
 from .lagrangian_solver import SolverState, _staggered_wave
 from .shock_profile import ViscousProfile, _first_integral
 
@@ -93,16 +94,18 @@ def _check_match(state: SolverState, profile: ViscousProfile):
 
 
 def _against_wave(state, profile):
-    """Deviation fields and the wave data the remainder needs, from one
-    evaluation of the wave on the merged half-cell grid.
+    """Deviation fields of a checked snapshot, from one evaluation of the
+    wave on the merged half-cell grid.
 
-    Returns (fields, V at the interfaces, dU/dy at the interfaces).
+    Returns (fields, xi at the interfaces, V at the interfaces).
     """
     _check_match(state, profile)
+    _check_positive_volume(state.v)
+    if not math.isfinite(state.tau):
+        raise ValidationError("tau must be finite")
     grid = state.grid
     shock = profile.shock
     xi_face, v_ref, v_center = _staggered_wave(profile, grid, state.tau)
-    du_ref = -shock.s * (profile.alpha * profile._slope(xi_face, v_ref))
     phi = state.v - v_center
     psi = state.u - _first_integral(shock, v_ref)
     dy = grid.dy
@@ -111,11 +114,15 @@ def _against_wave(state, profile):
                               np.cumsum(0.5 * (psi[1:] + psi[:-1])) * dy))
     fields = PerturbationFields(phi=phi, psi=psi, phi_cum=phi_cum,
                                 psi_cum=psi_cum, dy=dy)
-    return fields, v_ref, du_ref
+    return fields, xi_face, v_ref
 
 
 def perturbation(state: SolverState, profile: ViscousProfile) -> PerturbationFields:
-    """Deviation fields of a snapshot against the exact traveling wave."""
+    """Deviation fields of a snapshot against the exact traveling wave.
+
+    Raises ValidationError unless every volume is positive and finite and
+    tau is finite.
+    """
     return _against_wave(state, profile)[0]
 
 
@@ -124,9 +131,10 @@ def _remainder(state, fields, v_ref, du_ref):
     interface grid, against its computable pointwise majorant
     phi**2 + |phi * psi_y| + |phi * dU_ref/dy|.
 
-    Returns (sup of |remainder|, margin): margin is the worst excess of
-    |remainder| over the majorant, negative when the bound holds with
-    constant one.
+    Returns (sup of |remainder|, margin): margin is the largest value of
+    |remainder| - majorant, positive wherever the bound with constant one
+    fails, as it does in most rows (the Taylor term alone carries
+    p''(v)/2).
     """
     # Volume deviation at the faces by averaging the center deviations,
     # so prepared data gives exact zeros rather than O(dy^2) residue.
@@ -137,9 +145,15 @@ def _remainder(state, fields, v_ref, du_ref):
     v_face = v_ref + phi
     psi_y = diff1(fields.psi, fields.dy)
 
-    a = 1.0 + state.alpha
-    taylor = (pressure(v_face, state.law) - pressure(v_ref, state.law)
-              - d_pressure(v_ref, state.law) * phi)
+    # v_ref is the wave's; the averaged deviation can still take a face
+    # past zero where the wave jumps by more than the state's volumes
+    if not v_face.min() > 0.0:
+        raise NumericalError(
+            "remainder: a face volume, the wave plus the averaged "
+            "deviation, is not positive")
+    a, g = 1.0 + state.alpha, state.law.gamma
+    # p = v**-g and p' = -g*v**(-g - 1), raw: both volumes are positive
+    taylor = v_face ** -g - v_ref ** -g + g * v_ref ** (-g - 1.0) * phi
     visc_gap = v_face ** (-a) - v_ref ** (-a)
     values = -taylor + visc_gap * (psi_y + du_ref)
 
@@ -178,11 +192,14 @@ def energy_snapshot(state: SolverState, profile: ViscousProfile,
     """Append one diagnostics row for the given snapshot.
 
     Rows must be appended in increasing tau; the dissipation accumulators
-    advance by the trapezoidal rule between consecutive snapshots.
+    advance by the trapezoidal rule between consecutive snapshots.  The
+    state is checked as in perturbation.
     """
     if report.tau_series and state.tau < report.tau_series[-1]:
         raise ValidationError("snapshots must arrive in increasing tau")
-    fields, v_ref, du_ref = _against_wave(state, profile)
+    fields, xi_face, v_ref = _against_wave(state, profile)
+    du_ref = -profile.shock.s * (profile.alpha
+                                 * profile._slope(xi_face, v_ref))
     dy = fields.dy
 
     (phi0, phi1, phi2), _ = _sobolev_sq(fields.phi_cum, dy)

@@ -169,13 +169,15 @@ def check_lax(shock: ShockData, law: PressureLaw) -> LaxReport:
 
 
 def riemann_shock_eval(shock: ShockData, x, t: float):
-    """Piecewise-constant shock solution at position(s) x and time t >= 0.
+    """Piecewise-constant shock solution at position(s) x and time t,
+    finite and >= 0.
 
     Left state for x < s*t, right state otherwise; points exactly on the
     ray x == s*t deterministically take the right state.
     """
-    if t < 0.0:
-        raise ValidationError("time must be nonnegative")
+    # NaN fails every comparison
+    if not 0.0 <= t < np.inf:
+        raise ValidationError(f"time t must be finite and >= 0, not {t}")
     x = np.asarray(x, dtype=float)
     left = x < shock.s * t
     v = np.where(left, shock.v_minus, shock.v_plus)

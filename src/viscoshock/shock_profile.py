@@ -233,6 +233,20 @@ _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # [0, 1]
 _PANELS = 0.35
 
 
+def _xi_knots(dxi_da, a):
+    """xi at the uniform knots a, from 0 at a[0]: the Gauss-Legendre rule
+    on every panel, taken one node at a time over all panels, so only
+    vectors of the panel count are ever held."""
+    h = a[0] - a[1]
+    step = np.zeros(len(a) - 1)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        f = dxi_da(a[:-1] - h * node)
+        f *= weight
+        step += f
+    step *= h
+    return np.concatenate(([0.0], np.cumsum(step)))
+
+
 def _wave_side(shock, alpha, law, v0, end, eps_tail, target):
     """One side as a cubic Hermite spline a(xi), V = end + (v0 - end)*e**a,
     a from 0 at xi = 0 to log(eps_tail/|v0 - end|) at the outer knot, the
@@ -255,9 +269,7 @@ def _wave_side(shock, alpha, law, v0, end, eps_tail, target):
     m = 2 * math.ceil(_PANELS / 2 * -a_cut * (abs(amp0) / target) ** 0.25)
     for _ in range(8):
         a = np.linspace(0.0, a_cut, max(m, 16) + 1)
-        h = a[0] - a[1]
-        x = np.concatenate(([0.0], np.cumsum(
-            h * (dxi_da(a[:-1, None] - h * _GL_NODES) @ _GL_WEIGHTS))))
+        x = _xi_knots(dxi_da, a)
         slope = -1.0 / dxi_da(a)
         half = _Hermite(x[::2], a[::2], slope[::2])
         err = np.max(np.exp(a[1::2]) * np.abs(half(x[1::2]) - a[1::2]))

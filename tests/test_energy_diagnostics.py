@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viscoshock import (EnergyReport, Grid1D, ValidationError, ViscousProfile,
+from viscoshock import (EnergyReport, Grid1D, NumericalError, ValidationError,
+                        ViscousProfile, build_shock, compute_profile,
                         energy_snapshot, init_state, longtime_decay_check,
                         perturbation, rescaled_profile_eval, run)
 from viscoshock.energy_diagnostics import _sobolev_sq, diff1, l2_sq
@@ -171,6 +172,42 @@ def test_snapshots_must_advance(prepared, reference_profile):
     energy_snapshot(later, reference_profile, report)
     with pytest.raises(ValidationError):
         energy_snapshot(prepared, reference_profile, report)
+
+
+def _one_cell(state, value):
+    v = state.v.copy()
+    v[len(v) // 2] = value
+    return replace(state, v=v)
+
+
+@pytest.mark.parametrize("read", [
+    perturbation,
+    lambda state, profile: energy_snapshot(state, profile, EnergyReport()),
+], ids=["perturbation", "energy_snapshot"])
+@pytest.mark.parametrize("bad, match", [
+    (lambda s: _one_cell(s, 0.0), "specific volume"),
+    (lambda s: _one_cell(s, -0.5), "specific volume"),
+    (lambda s: _one_cell(s, np.inf), "specific volume"),
+    (lambda s: replace(s, tau=np.nan), "tau must be finite"),
+], ids=["zero", "negative", "infinite", "nan_tau"])
+def test_snapshot_refuses_a_bad_state(prepared, reference_profile, read, bad,
+                                      match):
+    # zero and negative volumes read a finite row, an infinite one warned,
+    # and a NaN tau blamed the volumes
+    with pytest.raises(ValidationError, match=match):
+        read(bad(prepared), reference_profile)
+
+
+def test_remainder_refuses_a_face_past_zero(law):
+    # positive volumes whose face average, against a wave that falls from
+    # 50 to 1 within a cell, is not positive: the volumes are not at fault
+    shock = build_shock(50.0, 1.0, 0.0, law)
+    profile = compute_profile(shock, 1.0, law)
+    state = init_state(profile, Grid1D(y_min=-20.0, y_max=20.0, n_cells=40))
+    state = replace(state, v=np.full_like(state.v, 1e-3))
+    perturbation(state, profile)
+    with pytest.raises(NumericalError, match="face volume"):
+        energy_snapshot(state, profile, EnergyReport())
 
 
 def _synthetic_report(taus, grads):

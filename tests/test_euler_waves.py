@@ -186,3 +186,10 @@ def test_riemann_eval_vectorized(shock):
 
     with pytest.raises(ValidationError):
         riemann_shock_eval(shock, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_riemann_eval_refuses_non_finite_time(shock, t):
+    # a NaN time read the right state at every x
+    with pytest.raises(ValidationError, match="time t must be finite"):
+        riemann_shock_eval(shock, np.array([-10.0, 0.0, 10.0]), t)
