@@ -103,6 +103,8 @@ def _against_wave(state, profile):
     _check_positive_volume(state.v)
     if not math.isfinite(state.tau):
         raise ValidationError("tau must be finite")
+    if not np.isfinite(state.u).all():
+        raise ValidationError("velocities must be finite")
     grid = state.grid
     shock = profile.shock
     xi_face, v_ref, v_center = _staggered_wave(profile, grid, state.tau)
@@ -121,7 +123,7 @@ def perturbation(state: SolverState, profile: ViscousProfile) -> PerturbationFie
     """Deviation fields of a snapshot against the exact traveling wave.
 
     Raises ValidationError unless every volume is positive and finite and
-    tau is finite.
+    every velocity and tau are finite.
     """
     return _against_wave(state, profile)[0]
 

@@ -211,11 +211,13 @@ def step(state: SolverState, dtau: float) -> SolverState:
     dptsv (coefficient 1/v**(1+alpha) frozen at the current volumes,
     boundary interfaces pinned).  Volumes then update from the new
     interface velocities, which makes the mass budget telescope exactly.
-    The input volumes are validated here, not inside the kernel.  The
-    caller is responsible for respecting the acoustic CFL limit.
+    The input volumes and tau are validated here, not inside the kernel.
+    The caller is responsible for respecting the acoustic CFL limit.
     """
     _check_dtau(dtau)
     v = _check_positive_volume(state.v)
+    if not math.isfinite(state.tau):
+        raise ValidationError("tau must be finite")
     tau = state.tau + dtau
     try:
         v_new, u_new, _, _ = _advance(v, state.u, state.bc_u, state.alpha,

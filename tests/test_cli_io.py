@@ -406,3 +406,22 @@ def test_cli_converge_infinite_cells_per_width_exits_1(tmp_path):
                 str(tmp_path / "out"))
     assert proc.returncode == 1, proc.stderr
     assert "key cells_per_width" in proc.stderr
+
+
+def test_cli_converge_full_errors_are_finite_and_deterministic(tmp_path):
+    # no other test runs converge's full-solution path through the CLI
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(MINIMAL + "alphas = 0.4 0.2 0.1\nx_samples = 201\n"
+                   "t_samples = 3\n")
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        proc = _cli("converge", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        runs.append([(out / f).read_bytes()
+                     for f in ("sweep.csv", "fit_summary.json")])
+    assert runs[0] == runs[1]
+    rows = [line.split(",") for line in runs[0][0].decode().splitlines()]
+    assert rows[0] == ["alpha", "E_profile", "E_full", "capped"]
+    assert len(rows) == 4
+    assert all(math.isfinite(float(row[2])) for row in rows[1:])

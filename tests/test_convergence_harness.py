@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from viscoshock import (OmegaSpec, SolverSizing, ValidationError, alpha_sweep,
-                        compute_profile, convergence_harness, full_error,
-                        profile_only_error)
+from viscoshock import (Grid1D, OmegaSpec, SolverSizing, ValidationError,
+                        alpha_sweep, compute_profile, convergence_harness,
+                        full_error, init_state, profile_only_error,
+                        riemann_shock_eval, run)
 from viscoshock.convergence_harness import _omega_positions
 
 
@@ -222,3 +223,48 @@ def test_omega_refuses_infinite_window():
 def test_sweep_refuses_non_finite_alphas(shock, law, omega, alphas):
     with pytest.raises(ValidationError, match="alphas"):
         alpha_sweep(shock, law, alphas, omega, include_full=False)
+
+
+def _full_domain_error(profile, omega, sizing):
+    # the reference: every cell of the full grid stepped for the whole
+    # run, stopping only at the lattice times; returns (error, n_cells)
+    shock, alpha = profile.shock, profile.alpha
+    mu = alpha * min(profile.lambda_minus, -profile.lambda_plus)
+    margin = sizing.margin_efolds / mu
+    tau_end = min(omega.t_final / alpha, sizing.tau_max)
+    y_min = shock.s * tau_end - margin - 2.0 / mu
+    y_max = max(margin, omega.h / alpha + 6.0 / mu)
+    dy_target = 1.0 / (mu * sizing.cells_per_width)
+    n_cells = int(np.ceil((y_max - y_min) / dy_target))
+    grid = Grid1D(y_min=y_min, y_max=y_max, n_cells=n_cells)
+    state = init_state(profile, grid)
+    t_lattice = np.linspace(omega.h, min(omega.t_final, alpha * tau_end),
+                            omega.t_samples)
+    stops = np.minimum(t_lattice[:-1] / alpha, tau_end)
+    err = 0.0
+    for t, tau in zip(t_lattice, [*stops, tau_end]):
+        state, _ = run(state, tau, cfl=sizing.cfl)
+        xs = _omega_positions(shock, omega, t,
+                              alpha * grid.y_min, alpha * grid.y_max)
+        v_num = np.interp(xs / alpha, grid.centers(), state.v)
+        u_num = np.interp(xs / alpha, grid.interfaces(), state.u)
+        v_ref, u_ref = riemann_shock_eval(shock, xs, t)
+        err = max(err, float(np.max(np.abs(v_num - v_ref)
+                                    + np.abs(u_num - u_ref))))
+    return err, n_cells
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.05])
+def test_window_matches_the_full_domain(shock, law, alpha):
+    # the sliding window moves the error by the steps clipped at its chunk
+    # ends (measured 1.9e-6 and 3.9e-5 relative) and the frozen far field
+    # by less; at alpha 0.05 it steps 1,119 of the 1,559 cells
+    omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
+    sizing = SolverSizing()
+    wave = compute_profile(shock, alpha, law, tol=sizing.profile_tol)
+    ref, n_full = _full_domain_error(wave, omega, sizing)
+    res = full_error(shock, alpha, law, omega, sizing)
+    assert res.error == pytest.approx(ref, rel=1e-4, abs=0.0)
+    assert res.n_cells <= n_full
+    if alpha == 0.05:
+        assert res.n_cells < 0.75 * n_full

@@ -198,6 +198,21 @@ def test_snapshot_refuses_a_bad_state(prepared, reference_profile, read, bad,
         read(bad(prepared), reference_profile)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read", [
+    perturbation,
+    lambda state, profile: energy_snapshot(state, profile, EnergyReport()),
+], ids=["perturbation", "energy_snapshot"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_snapshot_refuses_a_non_finite_velocity(prepared, reference_profile,
+                                                read, bad):
+    # a NaN velocity appended a row of NaNs, an infinite one warned first
+    u = prepared.u.copy()
+    u[len(u) // 2] = bad
+    with pytest.raises(ValidationError, match="velocities must be finite"):
+        read(replace(prepared, u=u), reference_profile)
+
+
 def test_remainder_refuses_a_face_past_zero(law):
     # positive volumes whose face average, against a wave that falls from
     # 50 to 1 within a cell, is not positive: the volumes are not at fault

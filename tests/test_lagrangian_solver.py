@@ -259,6 +259,15 @@ def test_step_rejects_non_finite_solution(law):
         step(replace(state, u=u), 0.01)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_step_refuses_non_finite_tau(law, tau):
+    # a NaN tau stepped to a NaN tau, while run refused the same state
+    grid = Grid1D(y_min=0.0, y_max=1.0, n_cells=16)
+    state = replace(init_constant(grid, 1.0, 0.0, 0.1, law), tau=tau)
+    with pytest.raises(ValidationError, match="tau must be finite"):
+        step(state, 0.01)
+
+
 def test_max_wave_speed_matches_pointwise_maximum(reference_profile):
     for n_cells in (400, 1600):
         state = _perturbed_wave(reference_profile, n_cells)
