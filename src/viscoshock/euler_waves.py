@@ -101,7 +101,7 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
     velocity follows from u_plus = u_minus - s*(v_plus - v_minus).
 
     Raises ValidationError unless v_minus > v_plus > 0, u_minus, s and u_plus
-    finite.
+    are finite, and s nonzero: s**2 underflows when both volumes are vast.
     """
     if not np.isfinite(u_minus):
         raise ValidationError("u_minus must be finite")
@@ -118,6 +118,10 @@ def build_shock(v_minus: float, v_plus: float, u_minus: float,
     if not np.isfinite(s):
         raise ValidationError(f"v_plus {v_plus} is too small for gamma "
                               f"{law.gamma}: the shock speed overflows")
+    if s == 0.0:
+        raise ValidationError(f"v_minus {v_minus} and v_plus {v_plus} are too "
+                              f"large for gamma {law.gamma}: the shock speed "
+                              "underflows to 0")
     with np.errstate(over="ignore"):  # huge |u_minus| and jump
         u_plus = u_minus - s * (v_plus - v_minus)
     if not np.isfinite(u_plus):

@@ -13,9 +13,9 @@ Velocity follows pointwise from the integrated mass equation,
 U = u_minus - s*(V - v_minus).
 
 The ODE is autonomous, so the wave is a quadrature, xi(V) = int dW/f(W)
-(Gilbarg, Amer. J. Math. 73, 1951), taken from the normalisation point
-out to a cutoff amplitude on each side and continued there with the
-exact linearised exponential tails, rates
+(Gilbarg, Amer. J. Math. 73, 1951), taken from the midpoint of the end
+states, at xi = 0, out to a cutoff amplitude on each side and continued
+there with the exact linearised exponential tails, rates
 
     lambda_pm = (s**2 + p'(v_pm)) * v_pm**(1+alpha) / (|s|*alpha).
 """
@@ -138,12 +138,14 @@ class ViscousProfile:
     """Traveling wave by quadrature, with analytic tail continuation.
 
     Strictly between the cutoffs xi_cut_left and xi_cut_right the wave is
-    read from the quadrature's spline on either side of xi = 0; on and
-    beyond each cutoff it is the exact exponential tail through the
-    cutoff value.  xi_grid holds the traveling coordinate (position minus
-    shock displacement in the unscaled frame) of the output samples, and
-    eval_V(xi_grid) equals V.  Instances are immutable by convention; the
-    sample arrays are marked read-only.
+    read from the quadrature's spline on either side of xi = 0, where V
+    is the normalization, the midpoint of the end states; on and beyond
+    each cutoff it is the exact exponential tail through the cutoff
+    value.  xi_grid holds the traveling coordinate (position minus shock
+    displacement in the unscaled frame) of the output samples, n uniform
+    nodes from xi_cut_left to xi_cut_right, and eval_V(xi_grid) equals V.
+    Instances are immutable by convention; the sample arrays are marked
+    read-only.
     """
 
     shock: ShockData
@@ -284,15 +286,6 @@ def _wave_side(shock, alpha, law, v0, end, eps_tail, target):
     raise NumericalError(f"wave quadrature failed to reach tol ({m} panels)")
 
 
-def _auto_grid(cut_l, cut_r, n):
-    # n uniform nodes k*h with one at 0.  A hair under n - 2 steps span
-    # [cut_l, cut_r]: each end node lies past its cutoff, and the node
-    # before it no more than 1e-6*h past.
-    h = (cut_r - cut_l) / (n - 2.0 - 1e-6)
-    k_left = math.floor(-cut_l / h) + 1
-    return np.arange(-k_left, n - k_left) * h
-
-
 def _check_profile_args(alpha, tol, n, delta):
     # compute_profile's domain for a shock of strength delta; NaN fails
     # every comparison
@@ -308,15 +301,15 @@ def _check_profile_args(alpha, tol, n, delta):
 
 
 def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
-                    tol: float = 1e-10, n: int = 4001,
-                    normalization: float | None = None) -> ViscousProfile:
+                    tol: float = 1e-10, n: int = 4001) -> ViscousProfile:
     """Build the wave by quadrature and sample it on a uniform grid.
 
-    On each side of xi = 0 the wave's inverse is the quadrature
-    xi(V) = int dW/f(W), taken out to the tail cutoff, where the wave is
-    within eps_tail of that end state.  The n uniform output samples
-    cover [xi_cut_left, xi_cut_right], with a node at xi = 0 and exactly
-    one node on or past each cutoff, where the linearised tail takes over.
+    The wave's phase puts the midpoint of the end states at xi = 0; on
+    each side the wave's inverse is the quadrature xi(V) = int dW/f(W),
+    taken out to the tail cutoff, where the wave is within eps_tail of
+    that end state.  The n uniform output samples span
+    [xi_cut_left, xi_cut_right] exactly, so the end samples are
+    v_minus - eps_tail and v_plus + eps_tail.
 
     Parameters
     ----------
@@ -327,19 +320,15 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
         Sets eps_tail = max(min(tol, 1e-6*delta), 1e-10*delta).
     n : number of output samples on xi_grid, an integer of at least 33;
         it sets the sampling only, not the accuracy of eval_V.
-    normalization : volume at xi = 0; defaults to the midpoint of the
-        end states.  The wave is unique up to translation, so this only
-        fixes the phase.
 
     Raises NumericalError if the quadrature fails or the samples are not
-    strictly monotone inside the end states (some strong shocks).
+    strictly monotone inside the end states (very weak shocks, whose
+    neighbouring samples near an end state tie in double precision).
     """
     _check_profile_args(alpha, tol, n, shock.delta)
     vp, vm, delta = shock.v_plus, shock.v_minus, shock.delta
     eps_tail = max(min(tol, 1e-6 * delta), 1e-10 * delta)
-    v0 = 0.5 * (vm + vp) if normalization is None else float(normalization)
-    if not (vp + 2.0 * eps_tail < v0 < vm - 2.0 * eps_tail):
-        raise ValidationError("normalization must lie inside the end states")
+    v0 = 0.5 * (vm + vp)
 
     lam_m, lam_p = tail_rates(shock, alpha, law)
     target = max(tol, 1e-14) * vm   # under 1e-14 the estimate reads rounding
@@ -348,7 +337,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     # each side's outermost knot is its cutoff, V = end -+ eps_tail
     tails = ((sides[0].x[0], vm - eps_tail, lam_m),
              (sides[1].x[-1], vp + eps_tail, lam_p))
-    xi = _auto_grid(tails[0][0], tails[1][0], n)
+    xi = np.linspace(tails[0][0], tails[1][0], n)
     V = _join(xi, sides, v0, shock, tails)
     if np.any(V <= vp) or np.any(V >= vm) or np.any(np.diff(V) >= 0.0):
         raise NumericalError("profile samples violate strict monotone bounds")

@@ -69,6 +69,16 @@ def test_build_shock_refuses_overflowing_jump(law):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_build_shock_refuses_underflowing_speed(gamma):
+    # s**2 = 1e-500 underflows while s = 1e-250 would not; this used to
+    # return s = -0.0, against s < 0, and the full error then divided by it
+    with pytest.raises(ValidationError,
+                       match=r"^v_minus 1e\+300 and v_plus 1e\+200 .*gamma"):
+        build_shock(1e300, 1e200, 0.0, PressureLaw(gamma))
+
+
+@pytest.mark.filterwarnings("error")
 def test_build_shock_refuses_overflowing_velocity(law):
     # the speed is finite, but u_minus - s*(v_plus - v_minus) overflows;
     # this used to return u_plus = -inf after a RuntimeWarning

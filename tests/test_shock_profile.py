@@ -127,22 +127,6 @@ def test_property_report(profile):
     assert rep_far.rates_ok
 
 
-def test_shift_covariance(shock, law):
-    # the wave is unique up to translation: renormalised profiles are
-    # translates of each other
-    p1 = compute_profile(shock, 0.1, law, tol=1e-10, n=4001)
-    m2 = shock.v_plus + 0.3 * shock.delta
-    p2 = compute_profile(shock, 0.1, law, tol=1e-10, n=4001,
-                         normalization=m2)
-    # locate m2 on the first profile to get the translation
-    from scipy.optimize import brentq
-    rough = float(np.interp(-m2, -p1.V, p1.xi_grid))
-    shift = brentq(lambda x: p1.eval_V(x) - m2, rough - 0.1, rough + 0.1,
-                   xtol=1e-14)
-    xi = np.linspace(-3.0, 3.0, 200)
-    assert np.max(np.abs(p2.eval_V(xi) - p1.eval_V(xi + shift))) < 1e-8
-
-
 def test_rate_scaling_with_strength(law):
     # decay rate scales like strength over viscosity: rate*alpha/delta
     # stays within a narrow band over the sweep
@@ -165,8 +149,6 @@ def test_compute_profile_validation(shock, law):
         compute_profile(shock, 0.1, law, n=8)
     with pytest.raises(ValidationError, match="^n must be an integer"):
         compute_profile(shock, 0.1, law, n=4001.5)
-    with pytest.raises(ValidationError):
-        compute_profile(shock, 0.1, law, normalization=1.3)
 
 
 def test_rescaled_eval_points(profile, shock):
@@ -219,14 +201,14 @@ def test_automatic_grid_regressions(gamma, delta, alpha):
     assert np.array_equal(prof.eval_V(prof.xi_grid), prof.V)
 
 
-def test_automatic_grid_layout(profile):
-    # uniform, a node at 0, exactly one node past each cutoff
+def test_automatic_grid_layout(profile, shock):
+    # uniform from cutoff to cutoff: the end samples are the cutoff values
     xi = profile.xi_grid
     h = np.diff(xi)
     assert np.allclose(h, h[0], rtol=1e-9, atol=0.0)
-    assert np.count_nonzero(xi == 0.0) == 1
-    assert np.count_nonzero(xi <= profile.xi_cut_left) == 1
-    assert np.count_nonzero(xi >= profile.xi_cut_right) == 1
+    assert xi[0] == profile.xi_cut_left and xi[-1] == profile.xi_cut_right
+    assert profile.V[0] == shock.v_minus - profile.eps_tail
+    assert profile.V[-1] == shock.v_plus + profile.eps_tail
     assert np.array_equal(profile.eval_V(xi), profile.V)
 
 
@@ -234,18 +216,13 @@ HARNESS = {"tol": 1e-12, "n": 20001}   # the convergence harness's waves
 
 
 def _never_blames_the_caller(kwargs, gamma, log_delta, log_alpha):
-    # up to delta = v_plus every profile is right in every check; above,
-    # a NumericalError is allowed (strong shocks whose fast side falls
-    # within a sample step), and so is a tail-rate fit that misses
+    # every profile builds, strictly bounded and monotone; up to
+    # delta = v_plus it is right in every check, and above, a tail-rate
+    # fit may miss (a fast side holds too few samples for the fit)
     law = PressureLaw(gamma)
     shock = build_shock(1.0 + math.exp(log_delta), 1.0, 0.0, law)
     strong = shock.delta > shock.v_plus
-    try:
-        prof = compute_profile(shock, math.exp(log_alpha), law, **kwargs)
-    except NumericalError:
-        if strong:
-            return
-        raise
+    prof = compute_profile(shock, math.exp(log_alpha), law, **kwargs)
     assert strong or verify_profile_properties(prof, 0.0).all_ok
     V, U = prof.V, prof.U
     assert np.all((V > shock.v_plus) & (V < shock.v_minus))
@@ -267,14 +244,21 @@ README_DOMAIN = {"gamma": st.floats(1.0, 3.0),
                  "log_alpha": st.floats(math.log(1e-3), math.log(5.0))}
 
 
-@pytest.mark.filterwarnings("error")
+# in both tests below, hypothesis's own failure report warns that
+# mypy_extensions.TypedDict is deprecated; as an error, that warning ends
+# the run in an internal error and hides the falsifying example
+@pytest.mark.filterwarnings(
+    "error",
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(**README_DOMAIN)
 def test_readme_domain_never_blames_the_caller(gamma, log_delta, log_alpha):
     _never_blames_the_caller({}, gamma, log_delta, log_alpha)
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings(
+    "error",
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(**README_DOMAIN)
 def test_readme_domain_at_harness_settings(gamma, log_delta, log_alpha):
@@ -302,6 +286,18 @@ def test_weak_shock_draws_never_blame_the_caller(kwargs, gamma, log_delta,
     _never_blames_the_caller(kwargs, gamma, log_delta, log_alpha)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, v_minus, alpha", [
+    # an end node one sample step past the left cutoff, where
+    # lambda_minus times the step reached thousands, read exactly v_minus
+    (2.0, 20.0, 5.0),
+    (2.4, 5200.0, 1.1),
+])
+def test_strong_shock_samples_inside(gamma, v_minus, alpha):
+    _never_blames_the_caller({}, gamma, math.log(v_minus - 1.0),
+                             math.log(alpha))
+
+
 WEAK_ALPHAS = (1e-3, 0.01, 0.1, 1.0, 5.0)
 
 
@@ -316,6 +312,10 @@ WEAK_ALPHAS = (1e-3, 0.01, 0.1, 1.0, 5.0)
     # at the harness settings the ODE refused 8 of these 10
     (1.0, 1e-3, HARNESS),
     (3.0, 1e-3, HARNESS),
+    # refused while a node sat past each cutoff: samples near v_plus tied
+    (1.0, 3e-8, {}),
+    (2.0, 3e-8, {}),
+    (3.0, 3e-8, {}),
 ])
 @pytest.mark.parametrize("alpha", WEAK_ALPHAS)
 def test_weak_shock_profiles(gamma, delta, kwargs, alpha):
