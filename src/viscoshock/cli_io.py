@@ -120,7 +120,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"key {key}: {msg}")
     try:
         _, shock = _law_and_shock(cfg)
-        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.n, shock.delta)
+        sp._check_profile_args(cfg.alpha, cfg.tol, cfg.n, shock)
         ls.Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
         ls._check_run_args(cfg.cfl, 0.0, cfg.tau_end, cfg.observe_every)
         _sweep_specs(cfg)

@@ -72,9 +72,11 @@ def test_bad_value_names_key():
         parse_config(MINIMAL + "cfl = 2.0\n")
     with pytest.raises(ValidationError, match="key alphas"):
         parse_config(MINIMAL + "alphas = 0.1 0.2\n")
-    # delta = 0.2: compute_profile's tol < delta/4 rule, checked at parse
+    # delta = 0.2, v_minus = 1.2: compute_profile's tol*v_minus < delta/4
+    # rule, checked at parse
     with pytest.raises(ValidationError,
-                       match=r"^key tol: .*delta/4 = 0\.05.*v_minus - v_plus"):
+                       match=r"^key tol: .*delta/\(4\*v_minus\) = 0\.0416667"
+                             r".*v_minus - v_plus"):
         parse_config(MINIMAL + "tol = 0.06\n")
     # below the floor the wave is too narrow for double precision
     with pytest.raises(ValidationError,
