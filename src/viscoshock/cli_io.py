@@ -56,7 +56,6 @@ class RunConfig:
     cfl: float = ch.SolverSizing.cfl
     tau_end: float = 8.0
     observe_every: float = 0.25
-    dy2_step_factor: float = 0.0  # >0 caps the step at factor*dy**2
     inject_amplitude: float = 0.0
     inject_center: float = 25.0
     inject_width: float = 2.0
@@ -79,10 +78,10 @@ def _parse_float_list(text):
 
 _PARSERS = {float: float, int: int, tuple: _parse_float_list}
 
-# keys no library call sees; dy2_step_factor = 0 turns the step cap off
-_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0")
+# keys no library call sees
 _CONFIG_RULES = {
-    "dy2_step_factor": _NONNEGATIVE, "inject_amplitude": _NONNEGATIVE,
+    "inject_amplitude": (lambda v: 0.0 <= v < np.inf,
+                         "must be finite and >= 0"),
     "inject_center": (np.isfinite, "must be finite"),
     "inject_width": (lambda v: 0.0 < v < np.inf,
                      "must be positive and finite"),
@@ -236,11 +235,8 @@ def _initial_state(cfg: RunConfig, profile):
 
 
 def _run(cfg: RunConfig, state, observer):
-    # dy2_step_factor = 0 leaves the step uncapped
-    cap = cfg.dy2_step_factor * state.grid.dy ** 2
     return ls.run(state, cfg.tau_end, observer=observer,
-                  observe_every=cfg.observe_every, cfl=cfg.cfl,
-                  max_dtau=cap if cfg.dy2_step_factor > 0.0 else np.inf)
+                  observe_every=cfg.observe_every, cfl=cfg.cfl)
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,14 @@ class SolverSizing:
 
     The stretched-frame tail scale is 1/mu, mu the stretched decay rate:
     finite margin_efolds > 0 of it separate the wave from each boundary
-    and finite cells_per_width >= 20 cells resolve one.  0 < cfl < 1;
-    tau_max > 0 may be inf.  Each entry's one wave is built at profile_tol.
+    and finite cells_per_width >= 20 cells resolve one.  0 < cfl < 1
+    (0.8 by default: the step is second order in time); tau_max > 0 may
+    be inf.  Each entry's one wave is built at profile_tol.
     """
 
     cells_per_width: float = 26.0
     margin_efolds: float = 20.0
-    cfl: float = 0.4
+    cfl: float = 0.8
     tau_max: float = 200.0
     profile_tol: ClassVar[float] = 1e-12
 

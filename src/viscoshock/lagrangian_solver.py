@@ -8,21 +8,23 @@ enters only through the exponent of 1/v**(1+alpha):
     u_tau + p(v)_y = (u_y / v**(1+alpha))_y.
 
 Volumes live at cell centers and velocities at cell interfaces, so both
-conservation laws telescope exactly.  The pressure gradient is explicit,
-the dissipative term is backward Euler with the coefficient frozen at the
-current volume field, which removes the parabolic step restriction; the
-remaining constraint is the acoustic CFL limit.  The implicit velocity
-matrix is symmetric positive-definite tridiagonal, so it is solved with
-LAPACK's dptsv.  Velocities at the two boundary interfaces are held at
-their initial values (domains are sized so the wave never comes near the
-boundary), and volumes evolve conservatively everywhere so that the
-discrete mass identity is exact to rounding.
+conservation laws telescope exactly.  A step is second order in time:
+a half kick of the velocities with implicit dissipation, a drift of the
+volumes, and an explicit half kick with the new volumes' coefficients.
+That is Stormer-Verlet for the pressure and Crank-Nicolson for the
+dissipation, which is stable at any step, so the acoustic CFL limit is
+the only constraint.  The implicit matrix is symmetric positive-definite
+tridiagonal, solved by LAPACK's dptsv.  Velocities at the two boundary
+interfaces are held at their initial values (domains are sized so the
+wave never comes near the boundary), and volumes evolve conservatively
+everywhere so that the discrete mass identity is exact to rounding.
 
 Volumes are validated at the public edge only: step checks its input
 state, run checks it once on entry, and the stepping kernel relies on
 each step rejecting a non-positive result.  The kernel takes both powers
 of the volume, v**-(1+alpha) and v**-gamma, as exponentials of one
-log(v), which is defined only because of that positivity.
+log(v), defined only because of that positivity, and hands the new
+volumes' powers on to the next step.
 """
 
 import math
@@ -154,21 +156,23 @@ def _check_dtau(dtau):
         raise NumericalError(f"time step {dtau} below the {DTAU_FLOOR} floor")
 
 
-def _advance(v, u, bc_u, alpha, gamma, dy, dtau):
-    """One step on raw arrays of positive volumes.
-
-    Both powers of the volume come from one logarithm, so v must be
-    positive: step checks its input, run checks it on entry, and every
-    step refuses a non-positive result.  Returns (v_new, u_new,
-    min(v_new), max(v_new)); raises NumericalError if the solve fails or
-    a volume turns non-positive.
-    """
+def _coefficients(v, alpha, gamma):
+    """(v**-(1+alpha), v**-gamma) from one logarithm of positive v."""
     log_v = np.log(v)
     w = log_v * -(1.0 + alpha)
-    np.exp(w, out=w)             # dissipative coefficient v**-(1+alpha)
-    w *= -dtau / dy ** 2         # negated and scaled: dptsv's off-diagonal
+    np.exp(w, out=w)
     log_v *= -gamma
-    p = np.exp(log_v, out=log_v)  # pressure v**-gamma
+    return w, np.exp(log_v, out=log_v)
+
+
+def _advance(v, u, w, p, bc_u, alpha, gamma, dy, dtau):
+    """One kick-drift-kick step on raw arrays of positive volumes v, with
+    w = v**-(1+alpha) and p = v**-gamma.  Returns (v_new, u_new, w_new,
+    p_new, min(v_new), max(v_new)); raises NumericalError if the solve
+    fails or a volume turns non-positive.
+    """
+    half = 0.5 * dtau
+    off = w * (-half / dy ** 2)  # negated and scaled: dptsv's off-diagonal
     ubl, ubr = bc_u
 
     u_new = np.empty(len(u))
@@ -176,21 +180,21 @@ def _advance(v, u, bc_u, alpha, gamma, dy, dtau):
     u_new[-1] = ubr
     rhs = u_new[1:-1]
     np.subtract(p[:-1], p[1:], out=rhs)
-    rhs *= dtau / dy
+    rhs *= half / dy
     rhs += u[1:-1]
-    rhs[0] -= w[0] * ubl
-    rhs[-1] -= w[-1] * ubr
-    diag = 1.0 - w[:-1]
-    diag -= w[1:]
-    _, _, interior, info = dptsv(diag, w[1:-1], rhs,
+    rhs[0] -= off[0] * ubl
+    rhs[-1] -= off[-1] * ubr
+    diag = 1.0 - off[:-1]
+    diag -= off[1:]
+    _, _, interior, info = dptsv(diag, off[1:-1], rhs,
                                  overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise NumericalError(f"tridiagonal solve failed: LAPACK info {info}")
     if not np.may_share_memory(interior, rhs):
         u_new[1:-1] = interior   # LAPACK copied rhs
 
-    v_new = u_new[1:] - u_new[:-1]
-    v_new *= dtau / dy
+    du = u_new[1:] - u_new[:-1]
+    v_new = du * (dtau / dy)
     v_new += v
     v_min = float(np.minimum.reduce(v_new))
     v_max = float(np.maximum.reduce(v_new))
@@ -200,28 +204,39 @@ def _advance(v, u, bc_u, alpha, gamma, dy, dtau):
         raise NumericalError("tridiagonal solve produced non-finite values")
     if v_min <= 0.0:
         raise NumericalError("volume became non-positive")
-    return v_new, u_new, v_min, v_max
+
+    w, p = _coefficients(v_new, alpha, gamma)
+    flux = du                    # in place: (half/dy)*(w_new*du/dy - p_new)
+    flux *= w
+    flux *= 1.0 / dy
+    flux -= p
+    flux *= half / dy
+    u_new[1:-1] += flux[1:]
+    u_new[1:-1] -= flux[:-1]
+    return v_new, u_new, w, p, v_min, v_max
 
 
 def step(state: SolverState, dtau: float) -> SolverState:
-    """Advance one time step of size dtau.
+    """Advance one second-order time step of size dtau.
 
-    Velocity first: explicit pressure gradient plus implicit dissipation
-    through a symmetric positive-definite tridiagonal solve by LAPACK's
-    dptsv (coefficient 1/v**(1+alpha) frozen at the current volumes,
-    boundary interfaces pinned).  Volumes then update from the new
-    interface velocities, which makes the mass budget telescope exactly.
-    The input volumes and tau are validated here, not inside the kernel.
-    The caller is responsible for respecting the acoustic CFL limit.
+    A half kick of dtau/2 on the velocities (explicit pressure gradient,
+    dissipation implicit through dptsv with the current volumes'
+    coefficient 1/v**(1+alpha), boundary interfaces pinned), a drift of
+    the volumes over dtau, and an explicit half kick with the new volumes'
+    pressure and coefficient.  Both kicks are in flux form, so mass and
+    momentum telescope exactly.  Volumes and tau are validated here, not
+    in the kernel; the caller respects the acoustic CFL limit.
     """
     _check_dtau(dtau)
     v = _check_positive_volume(state.v)
     if not math.isfinite(state.tau):
         raise ValidationError("tau must be finite")
     tau = state.tau + dtau
+    alpha, gamma = state.alpha, state.law.gamma
+    w, p = _coefficients(v, alpha, gamma)
     try:
-        v_new, u_new, _, _ = _advance(v, state.u, state.bc_u, state.alpha,
-                                      state.law.gamma, state.grid.dy, dtau)
+        v_new, u_new, *_ = _advance(v, state.u, w, p, state.bc_u, alpha,
+                                    gamma, state.grid.dy, dtau)
     except NumericalError as exc:
         raise NumericalError(f"{exc} at tau={tau:.6g}") from exc
     return replace(state, v=_freeze(v_new), u=_freeze(u_new), tau=tau)
@@ -231,19 +246,22 @@ def step_flux_balance(before: SolverState, after: SolverState):
     """Exact boundary-flux bookkeeping for one step (for conservation
     tests): returns (mass change, mass flux, momentum change, momentum
     flux) where the changes are over interior degrees of freedom and the
-    fluxes are the telescoped boundary terms of the update."""
+    fluxes are the telescoped boundary terms of the update: the momentum
+    flux averages the two half kicks' end-cell fluxes."""
     grid = before.grid
     dy = grid.dy
     dtau = after.tau - before.tau
     ubl, ubr = before.bc_u
     mass_change = float(np.sum(after.v - before.v) * dy)
     mass_flux = dtau * (ubr - ubl)
-    p = pressure(before.v, before.law)
-    c = before.v ** (1.0 + before.alpha)
-    flux_l = (after.u[1] - after.u[0]) / (dy * c[0])
-    flux_r = (after.u[-1] - after.u[-2]) / (dy * c[-1])
+    # u_y/v**(1+alpha) - p in the end cells before and after, with the
+    # half-step u_y recovered from the drift as the volumes' rate
+    ends = np.stack((before.v[[0, -1]], after.v[[0, -1]]))
+    u_y = (ends[1] - ends[0]) / dtau
+    f = np.mean(u_y / ends ** (1.0 + before.alpha)
+                - pressure(ends, before.law), axis=0)
     mom_change = float(np.sum(after.u[1:-1] - before.u[1:-1]) * dy)
-    mom_flux = dtau * (-(p[-1] - p[0]) + (flux_r - flux_l))
+    mom_flux = dtau * (f[1] - f[0])
     return mass_change, mass_flux, mom_change, mom_flux
 
 
@@ -293,21 +311,22 @@ def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=math.inf,
 
 
 def run(state: SolverState, tau_end: float, observer=None,
-        observe_every: float = math.inf, cfl: float = 0.4,
+        observe_every: float = math.inf, cfl: float = 0.8,
         max_dtau: float = math.inf):
     """March the state to tau_end, finite and >= state.tau.
 
     The step is the acoustic CFL limit cfl*dy/max|wave speed|, cfl in
-    (0, 1), from the current volumes, capped by max_dtau > 0 (the
-    convergence tests tie the step to dy**2 this way) and clipped to the
-    next stop: each multiple of observe_every after the start if an
-    observer is given, then tau_end.  A stop t counts as reached within
-    1e-12*max(1, |t|), and the clock is then set to t exactly: the
-    observer sees the read-only state at state.tau + k*observe_every and
-    at tau_end, and the final tau is tau_end.  observe_every must exceed
-    1e-12*max(1, |state.tau|, |tau_end|); an interval past tau_end, inf
-    (the default) included, yields one call, at tau_end.  The loop builds
-    a SolverState only at the stops.  Returns (final state, RunRecord).
+    (0, 1; the second-order step allows 0.8 by default), from the current
+    volumes, capped by max_dtau > 0 (the convergence tests tie the step
+    to dy**2 this way) and clipped to the next stop: each multiple of
+    observe_every after the start if an observer is given, then tau_end.
+    A stop t counts as reached within 1e-12*max(1, |t|), and the clock is
+    then set to t exactly: the observer sees the read-only state at
+    state.tau + k*observe_every and at tau_end, and the final tau is
+    tau_end.  observe_every must exceed 1e-12*max(1, |state.tau|,
+    |tau_end|); an interval past tau_end, inf (the default) included,
+    yields one call, at tau_end.  The loop builds a SolverState only at
+    the stops.  Returns (final state, RunRecord).
     """
     _check_run_args(cfl, state.tau, tau_end, observe_every, max_dtau)
     v = _check_positive_volume(state.v)
@@ -316,6 +335,7 @@ def run(state: SolverState, tau_end: float, observer=None,
     highest = float(np.max(v))
     u, tau, bc_u = state.u, state.tau, state.bc_u
     alpha, gamma, dy = state.alpha, state.law.gamma, state.grid.dy
+    w, p = _coefficients(v, alpha, gamma)
     n_steps = 0
     for target in _targets(tau, tau_end,
                            math.inf if observer is None else observe_every):
@@ -325,8 +345,8 @@ def run(state: SolverState, tau_end: float, observer=None,
                 dt = min(cfl * dy / _wave_speed(v_low, gamma), max_dtau,
                          target - tau)
                 _check_dtau(dt)
-                v, u, v_low, v_high = _advance(v, u, bc_u, alpha, gamma,
-                                               dy, dt)
+                v, u, w, p, v_low, v_high = _advance(
+                    v, u, w, p, bc_u, alpha, gamma, dy, dt)
             except NumericalError as exc:
                 raise NumericalError(
                     f"run aborted at tau={tau:.6g}: {exc}") from exc

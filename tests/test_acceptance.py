@@ -181,7 +181,8 @@ def test_criterion_5_conservation_and_positivity(dense_profiles, shock,
                 f"volume window on all default runs")
 
 
-def _energy_run(profile, n_cells, tau_end, amp):
+def _energy_run(profile, n_cells, tau_end, amp, capped=True):
+    # returns (report, steps); capped=False steps at the default CFL alone
     grid = vs.Grid1D(y_min=-70.0, y_max=52.0, n_cells=n_cells)
     state = vs.init_state(profile, grid)
     if amp > 0.0:
@@ -191,18 +192,26 @@ def _energy_run(profile, n_cells, tau_end, amp):
         state = replace(state, u=u, bc_u=(float(u[0]), float(u[-1])))
     report = vs.EnergyReport()
     vs.energy_snapshot(state, profile, report)
-    vs.run(state, tau_end,
-           observer=lambda s: vs.energy_snapshot(s, profile, report),
-           observe_every=0.25, cfl=0.4, max_dtau=0.25 * grid.dy ** 2)
-    return report
+    cap = {"cfl": 0.4, "max_dtau": 0.25 * grid.dy ** 2} if capped else {}
+    _, record = vs.run(state, tau_end,
+                       observer=lambda s: vs.energy_snapshot(s, profile,
+                                                             report),
+                       observe_every=0.25, **cap)
+    return report, record.n_steps
 
 
-def test_criterion_6_energy_structure(dense_profiles, shock):
+@pytest.fixture(scope="module")
+def bump_run(dense_profiles, shock):
+    # criterion 6's dy**2-capped bump run, also the CFL-only run's oracle
+    return _energy_run(dense_profiles[0.1], 1600, 10.0, 1e-3 * shock.delta)
+
+
+def test_criterion_6_energy_structure(dense_profiles, shock, bump_run):
     """Prepared data stays at the truncation floor; an injected bump's
     gradient energy decays to <= 10% with the peak norm in bounds."""
     prof = dense_profiles[0.1]
 
-    prepared = _energy_run(prof, 1600, 8.0, 0.0)
+    prepared, _ = _energy_run(prof, 1600, 8.0, 0.0)
     n_floor = max(prepared.peak_h2_sq)
     assert n_floor <= 1e-6, f"floor {n_floor}"
     for series in (prepared.diss_weighted, prepared.diss_phi,
@@ -211,7 +220,7 @@ def test_criterion_6_energy_structure(dense_profiles, shock):
         assert all(b >= a for a, b in zip(series, series[1:]))
 
     amp = 1e-3 * shock.delta
-    bump = _energy_run(prof, 1600, 10.0, amp)
+    bump, _ = bump_run
     g = np.asarray(bump.grad_sq_series)
     assert g[-1] <= 0.1 * g.max(), f"decay ratio {g[-1]/g.max():.3f}"
     assert vs.longtime_decay_check(bump, tau_min=5.0) == "pass"
@@ -219,7 +228,7 @@ def test_criterion_6_energy_structure(dense_profiles, shock):
     assert max(bump.peak_h2_sq) <= eta
 
     # simulation is its own oracle: a finer companion run agrees
-    finer = _energy_run(prof, 2400, 10.0, amp)
+    finer, _ = _energy_run(prof, 2400, 10.0, amp)
     g_f = np.asarray(finer.grad_sq_series)
     assert np.max(np.abs(g - g_f)) <= 0.05 * g.max()
     _verdict(6, f"prepared floor {n_floor:.2e} <= 1e-6; bump gradient "
@@ -228,12 +237,35 @@ def test_criterion_6_energy_structure(dense_profiles, shock):
                 f"agreement {np.max(np.abs(g-g_f))/g.max():.3f}")
 
 
-def test_criterion_7_vanishing_viscosity(shock, law):
+def test_step_at_the_cfl_limit_matches_the_capped_run(dense_profiles,
+                                                      shock, bump_run):
+    """Criterion 6's bump run at the default cfl alone follows the
+    dy**2-capped run within criterion 6's two-resolution tolerance, in at
+    least 5x fewer steps (240 against 6,880; a first-order step at cfl
+    0.4 was off by 4x the series maximum)."""
+    capped, capped_steps = bump_run
+    free, steps = _energy_run(dense_profiles[0.1], 1600, 10.0,
+                              1e-3 * shock.delta, capped=False)
+    g = np.asarray(capped.grad_sq_series)
+    gap = np.max(np.abs(g - np.asarray(free.grad_sq_series))) / g.max()
+    assert gap <= 0.05, f"gap {gap:.3g}"
+    assert 5 * steps <= capped_steps, (steps, capped_steps)
+
+
+OMEGA_7 = vs.OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
+
+
+@pytest.fixture(scope="module")
+def full_sweep(shock, law):
+    return vs.alpha_sweep(shock, law, [0.4, 0.2, 0.1, 0.05], OMEGA_7,
+                          include_full=True)
+
+
+def test_criterion_7_vanishing_viscosity(shock, law, full_sweep):
     """Tail error strictly decreasing and log-linear in 1/viscosity;
     full error decreasing to the scheme floor."""
-    omega = vs.OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
-    sweep = vs.alpha_sweep(shock, law, [0.4, 0.2, 0.1, 0.05], omega,
-                           include_full=True)
+    omega = OMEGA_7
+    sweep = full_sweep
     assert not sweep.failures
     assert sweep.monotone_flag
     assert sweep.r_squared >= 0.99
@@ -253,6 +285,16 @@ def test_criterion_7_vanishing_viscosity(shock, law):
                 f"{e_full[0]:.3e} -> {e_full[-1]:.3e} "
                 f"(ratio {e_full[-1]/e_full[0]:.4f} <= 0.25, "
                 f"floor {floor:.1e})")
+
+
+def test_full_error_excess_over_tail_error(full_sweep):
+    """At the default sizing the scheme adds at most 2e-3 of E_profile
+    to E_full at every alpha (1.7e-2 at alpha 0.05 for a first-order
+    step at cfl 0.4)."""
+    for alpha, e_p, e_f in zip(full_sweep.alphas, full_sweep.e_profile,
+                               full_sweep.e_full):
+        excess = abs(e_f - e_p) / e_p
+        assert excess <= 2e-3, f"alpha={alpha}: excess {excess:.3g}"
 
 
 def test_criterion_8_selftest_determinism(tmp_path):

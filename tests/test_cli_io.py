@@ -246,7 +246,7 @@ def test_readme_config_block_is_the_default_config():
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
             if "=" in line.split("#", 1)[0]]
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
-    assert len(keys) == 25
+    assert len(keys) == 24
     assert parse_config(block) == RunConfig()
 
 
@@ -301,9 +301,10 @@ def test_cli_profile_writes_pair(tmp_path, capsys):
 
 def test_cli_numerical_failure_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    # step cap far below the hard floor forces a numerical abort
+    # a narrow bump of amplitude 20 squeezes a volume below zero
     cfg.write_text(MINIMAL + "n_cells = 200\ntau_end = 0.5\n"
-                   "y_min = -70\ny_max = 52\ndy2_step_factor = 1e-16\n")
+                   "y_min = -70\ny_max = 52\ninject_amplitude = 20\n"
+                   "inject_width = 0.5\n")
     out = tmp_path / "x.csv"
     assert main(["energy", "--config", str(cfg), "--out", str(out)]) == 2
 
@@ -337,7 +338,7 @@ OUT_OF_RANGE = {
     "gamma": "0.5", "v_minus": "0.5", "v_plus": "0", "u_minus": None,
     "alpha": "0", "tol": "0", "n": "32", "y_min": "60",
     "y_max": None, "n_cells": "15", "cfl": "1", "tau_end": "-1",
-    "observe_every": "0", "dy2_step_factor": "-1", "inject_amplitude": "-1",
+    "observe_every": "0", "inject_amplitude": "-1",
     "inject_center": None, "inject_width": "0", "h": "0", "t_final": "0.5",
     "x_samples": "1", "t_samples": "1", "alphas": "0.1 0.2 0.3",
     "tau_max": "0", "cells_per_width": "19", "margin_efolds": "0",
