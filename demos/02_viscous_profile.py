@@ -21,7 +21,7 @@ for alpha in (0.4, 0.2, 0.1):
           f"{rep.fitted_rate_right:+.3f})  residual={profile_residual(prof):.2e}")
 
 prof = compute_profile(shock, 0.1, law)
-print("\nnormalization V(0) =", prof.normalization)
+print("\nV(0), the midpoint of the end states =", prof.eval_V(0.0))
 print("monotone:", bool(np.all(np.diff(prof.V) < 0)))
 print("grid ends:", prof.xi_grid[0], prof.xi_grid[-1])
 

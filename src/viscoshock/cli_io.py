@@ -64,9 +64,7 @@ class RunConfig:
     x_samples: int = ch.OmegaSpec.x_samples
     t_samples: int = ch.OmegaSpec.t_samples
     alphas: tuple = (0.4, 0.2, 0.1, 0.05)
-    tau_max: float = ch.SolverSizing.tau_max
     cells_per_width: float = ch.SolverSizing.cells_per_width
-    margin_efolds: float = ch.SolverSizing.margin_efolds
 
 
 def _parse_float_list(text):
@@ -206,8 +204,7 @@ def _profile(x):
 
 def _sweep_specs(cfg: RunConfig):
     return (ch.OmegaSpec(cfg.h, cfg.t_final, cfg.x_samples, cfg.t_samples),
-            ch.SolverSizing(cfg.cells_per_width, cfg.margin_efolds, cfg.cfl,
-                            cfg.tau_max))
+            ch.SolverSizing(cfg.cells_per_width, cfg.cfl))
 
 
 def _shock_payload(law, shock):
@@ -268,7 +265,6 @@ def _write_profile(profile, out: Path):
         "alpha": profile.alpha, "gamma": profile.law.gamma,
         "lambda_minus": profile.lambda_minus,
         "lambda_plus": profile.lambda_plus,
-        "normalization": profile.normalization,
         "residual": residual,
         "properties": asdict(report),
     }, sidecar)

@@ -57,26 +57,22 @@ class SolverSizing:
     """Automatic grid sizing for full-solution error runs.
 
     The stretched-frame tail scale is 1/mu, mu the stretched decay rate:
-    finite margin_efolds > 0 of it separate the wave from each boundary
-    and finite cells_per_width >= 20 cells resolve one.  0 < cfl < 1
-    (0.8 by default: the step is second order in time); tau_max > 0 may
-    be inf.  Each entry's one wave is built at profile_tol.
+    margin_efolds of it separate the wave from each boundary and finite
+    cells_per_width >= 20 cells resolve one; 0 < cfl < 1 (0.8 by default:
+    the step is second order in time).  Class constants: runs stop at
+    stretched time tau_max; each entry's one wave is built at profile_tol.
     """
 
     cells_per_width: float = 26.0
-    margin_efolds: float = 20.0
     cfl: float = 0.8
-    tau_max: float = 200.0
+    margin_efolds: ClassVar[float] = 20.0
+    tau_max: ClassVar[float] = 200.0
     profile_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self):
         if not 20.0 <= self.cells_per_width < np.inf:
             raise ValidationError("cells_per_width must be finite and >= 20")
-        if not 0.0 < self.margin_efolds < np.inf:
-            raise ValidationError("margin_efolds must be positive and finite")
         _check_run_args(self.cfl)
-        if not self.tau_max > 0.0:
-            raise ValidationError("tau_max must be positive")
 
 
 def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,

@@ -56,7 +56,7 @@ def _rhs_unchecked(V, shock, alpha, law):
 
 
 def _rhs_slope(V, shock, alpha, law):
-    # d/dV of the reduced right-hand side; used for curvature bounds.
+    # d/dV of the reduced right-hand side: curvature bounds, tail rates
     gp = shock.s ** 2 + d_pressure(V, law)
     return ((gp * V ** (1.0 + alpha)
              + _chord_gap(V, shock, law) * (1.0 + alpha) * V ** alpha)
@@ -80,7 +80,8 @@ def _check_alpha(alpha):
 
 
 def tail_rates(shock: ShockData, alpha: float, law: PressureLaw):
-    """Exact linearised decay rates (lambda_minus > 0, lambda_plus < 0).
+    """Exact linearised decay rates (lambda_minus > 0, lambda_plus < 0),
+    each the slope f'(V) of the reduced right-hand side at its end state.
 
     Raises ValidationError when alpha is so large for v_minus that
     lambda_minus, which grows as v_minus**(1+alpha), overflows, and when
@@ -90,10 +91,10 @@ def tail_rates(shock: ShockData, alpha: float, law: PressureLaw):
     _check_alpha(alpha)
 
     def rate(v):
-        v = np.float64(v)   # overflows to inf where a float would raise
+        # f'(v) at an end state, where g vanishes; a float64 overflows to
+        # inf where a float would raise
         with np.errstate(over="ignore", invalid="ignore"):
-            return float((shock.s ** 2 + d_pressure(v, law))
-                         * v ** (1.0 + alpha) / (abs(shock.s) * alpha))
+            return float(_rhs_slope(np.float64(v), shock, alpha, law))
 
     lam_m = rate(shock.v_minus)
     if not math.isfinite(lam_m):
@@ -113,35 +114,16 @@ def _first_integral(shock, V):
     return shock.u_minus - shock.s * (V - shock.v_minus)
 
 
-def _beyond(xi, tails):
-    # the two switch points: each cutoff belongs to its tail
-    return xi <= tails[0][0], xi >= tails[1][0]
-
-
-def _join(xi, sides, v0, shock, tails):
-    """The wave at the points xi: V = end + (v0 - end)*e**a from the
-    quadrature spline a(xi) of either side strictly between the cutoffs,
-    the exact linearised tail on and beyond each; tails holds (xi_cut,
-    V at xi_cut, decay rate) for either side."""
-    out = np.where(xi == 0.0, v0, np.nan)   # a NaN xi reads NaN
-    for spline, (cut, v_cut, rate), end, side, beyond in zip(
-            sides, tails, (shock.v_minus, shock.v_plus), (xi < 0.0, xi > 0.0),
-            _beyond(xi, tails)):
-        core = side & ~beyond
-        out[core] = end + (v0 - end) * np.exp(spline(xi[core]))
-        out[beyond] = end + (v_cut - end) * np.exp(rate * (xi[beyond] - cut))
-    return out
-
-
 @dataclass
 class ViscousProfile:
     """Traveling wave by quadrature, with analytic tail continuation.
 
     Strictly between the cutoffs xi_cut_left and xi_cut_right the wave is
     read from the quadrature's spline on either side of xi = 0, where V
-    is the normalization, the midpoint of the end states; on and beyond
-    each cutoff it is the exact exponential tail through the cutoff
-    value.  xi_grid holds the traveling coordinate (position minus shock
+    is the midpoint of the end states; on and beyond each cutoff it is
+    the exact exponential tail, at rate lambda_minus or lambda_plus,
+    through the cutoff value v_minus - eps_tail or v_plus + eps_tail.
+    xi_grid holds the traveling coordinate (position minus shock
     displacement in the unscaled frame) of the output samples, n uniform
     nodes from xi_cut_left to xi_cut_right, and eval_V(xi_grid) equals V.
     Instances are immutable by convention; the sample arrays are marked
@@ -155,21 +137,35 @@ class ViscousProfile:
     U: np.ndarray
     lambda_minus: float
     lambda_plus: float
-    normalization: float
     eps_tail: float
     tol: float
     xi_cut_left: float
     xi_cut_right: float
     law: PressureLaw = field(repr=False)
     _sides: tuple = field(repr=False)
-    _tails: tuple = field(repr=False)
 
     def eval_V(self, xi):
         """Volume at traveling coordinate(s) xi, tails included."""
         xi = np.asarray(xi, dtype=float)
-        out = _join(np.atleast_1d(xi), self._sides, self.normalization,
-                    self.shock, self._tails)
+        x = np.atleast_1d(xi)
+        vm, vp, eps = self.shock.v_minus, self.shock.v_plus, self.eps_tail
+        v0 = 0.5 * (vm + vp)
+        out = np.where(x == 0.0, v0, np.nan)   # a NaN xi reads NaN
+        # end + (v0 - end)*e**a from either side's spline a(xi) strictly
+        # inside, the tail through the cutoff value on and beyond the cutoff
+        for spline, end, v_cut, cut, rate, side, far in zip(
+                self._sides, (vm, vp), (vm - eps, vp + eps),
+                (self.xi_cut_left, self.xi_cut_right),
+                (self.lambda_minus, self.lambda_plus), (x < 0.0, x > 0.0),
+                self._beyond(x)):
+            core = side & ~far
+            out[core] = end + (v0 - end) * np.exp(spline(x[core]))
+            out[far] = end + (v_cut - end) * np.exp(rate * (x[far] - cut))
         return float(out[0]) if xi.ndim == 0 else out
+
+    def _beyond(self, xi):
+        # the two switch points: each cutoff belongs to its tail
+        return xi <= self.xi_cut_left, xi >= self.xi_cut_right
 
     def eval_dV(self, xi):
         """Slope dV/dxi, using the tail rates on and beyond the cutoffs."""
@@ -180,7 +176,7 @@ class ViscousProfile:
     def _slope(self, xi, V):
         # dV/dxi from V = eval_V(xi), so a caller that already holds the
         # volumes does not evaluate the wave a second time
-        left, right = _beyond(xi, self._tails)
+        left, right = self._beyond(xi)
         inside = ~(left | right)
         out = np.empty_like(V)
         out[inside] = _rhs_unchecked(V[inside], self.shock, self.alpha,
@@ -317,7 +313,8 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     alpha : viscosity exponent, positive and finite.
     tol : in (0, delta/(4*v_minus)); eval_V strictly between the cutoffs
         is within tol*v_minus of the exact wave (tol under 1e-14 counts as
-        1e-14).  Sets eps_tail = max(min(tol, 1e-6*delta), 1e-10*delta).
+        1e-14).  Sets eps_tail = max(min(tol*v_plus, 1e-6*delta),
+        1e-10*delta), which scales with the volumes.
     n : number of output samples on xi_grid, an integer of at least 33;
         it sets the sampling only, not the accuracy of eval_V.  Samples
         are not checked: a very weak shock's tie near an end state.
@@ -326,7 +323,7 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     """
     _check_profile_args(alpha, tol, n, shock)
     vp, vm, delta = shock.v_plus, shock.v_minus, shock.delta
-    eps_tail = max(min(tol, 1e-6 * delta), 1e-10 * delta)
+    eps_tail = max(min(tol * vp, 1e-6 * delta), 1e-10 * delta)
     v0 = 0.5 * (vm + vp)
 
     lam_m, lam_p = tail_rates(shock, alpha, law)
@@ -334,19 +331,17 @@ def compute_profile(shock: ShockData, alpha: float, law: PressureLaw,
     sides = tuple(_wave_side(shock, alpha, law, v0, end, eps_tail, target)
                   for end in (vm, vp))
     # each side's outermost knot is its cutoff, V = end -+ eps_tail
-    tails = ((sides[0].x[0], vm - eps_tail, lam_m),
-             (sides[1].x[-1], vp + eps_tail, lam_p))
-    xi = np.linspace(tails[0][0], tails[1][0], n)
-    V = _join(xi, sides, v0, shock, tails)
-    U = _first_integral(shock, V)
-    for arr in (xi, V, U):
+    cuts = sides[0].x[0], sides[1].x[-1]
+    xi = np.linspace(*cuts, n)
+    wave = ViscousProfile(
+        shock=shock, alpha=alpha, xi_grid=xi, V=None, U=None,
+        lambda_minus=lam_m, lambda_plus=lam_p, eps_tail=eps_tail, tol=tol,
+        xi_cut_left=cuts[0], xi_cut_right=cuts[1], law=law, _sides=sides)
+    wave.V = wave.eval_V(xi)
+    wave.U = _first_integral(shock, wave.V)
+    for arr in (xi, wave.V, wave.U):
         arr.setflags(write=False)
-    return ViscousProfile(
-        shock=shock, alpha=alpha, xi_grid=xi, V=V, U=U,
-        lambda_minus=lam_m, lambda_plus=lam_p, normalization=v0,
-        eps_tail=eps_tail, tol=tol,
-        xi_cut_left=tails[0][0], xi_cut_right=tails[1][0],
-        law=law, _sides=sides, _tails=tails)
+    return wave
 
 
 def profile_residual(profile: ViscousProfile) -> float:

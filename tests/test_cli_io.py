@@ -42,7 +42,8 @@ def test_unknown_key_is_hard_error():
 
 
 def test_removed_keys_are_unknown():
-    for line in ("jobs = 2", "deterministic = true", "span = 0"):
+    for line in ("jobs = 2", "deterministic = true", "span = 0",
+                 "tau_max = 200", "margin_efolds = 20"):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(MINIMAL + line + "\n")
 
@@ -90,6 +91,18 @@ def test_alphas_need_three_values():
         parse_config(MINIMAL + "alphas = 0.2 0.1\n")
     assert parse_config(MINIMAL + "alphas = 0.3 0.2 0.1\n").alphas == (
         0.3, 0.2, 0.1)
+
+
+def test_line_without_equals_rejected():
+    with pytest.raises(ValidationError,
+                       match=r"^line 2: expected 'key = value'$"):
+        parse_config("gamma = 2.0\nv_minus 1.2\n")
+
+
+def test_empty_alphas_rejected():
+    with pytest.raises(ValidationError,
+                       match=r"^key alphas: cannot parse '' \(empty list\)$"):
+        parse_config(MINIMAL + "alphas =\n")
 
 
 def test_duplicate_key_rejected():
@@ -246,7 +259,7 @@ def test_readme_config_block_is_the_default_config():
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
             if "=" in line.split("#", 1)[0]]
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
-    assert len(keys) == 24
+    assert len(keys) == 22
     assert parse_config(block) == RunConfig()
 
 
@@ -299,6 +312,19 @@ def test_cli_profile_writes_pair(tmp_path, capsys):
     assert header == "xi,V,U,dV_dxi"
 
 
+def test_cli_profile_sidecar_without_csv_suffix(tmp_path):
+    # an --out not ending in .csv gets .json appended for its sidecar
+    out = tmp_path / "prof.txt"
+    assert main(["profile", "--v-minus", "1.2", "--v-plus", "1.0",
+                 "--alpha", "0.1", "--n", "1001", "--out", str(out)]) == 0
+    sidecar = tmp_path / "prof.txt.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "prof.txt", "prof.txt.json"]
+    assert sorted(json.loads(sidecar.read_text())) == [
+        "alpha", "delta", "gamma", "lambda_minus", "lambda_plus",
+        "properties", "residual", "s", "u_plus"]
+
+
 def test_cli_numerical_failure_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     # a narrow bump of amplitude 20 squeezes a volume below zero
@@ -341,9 +367,9 @@ OUT_OF_RANGE = {
     "observe_every": "0", "inject_amplitude": "-1",
     "inject_center": None, "inject_width": "0", "h": "0", "t_final": "0.5",
     "x_samples": "1", "t_samples": "1", "alphas": "0.1 0.2 0.3",
-    "tau_max": "0", "cells_per_width": "19", "margin_efolds": "0",
+    "cells_per_width": "19",
 }
-README_VALID = {("observe_every", "inf"), ("tau_max", "inf")}
+README_VALID = {("observe_every", "inf")}
 
 
 @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
@@ -379,9 +405,7 @@ def test_config_refuses_by_name_or_builds(key, value):
     Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
     OmegaSpec(h=cfg.h, t_final=cfg.t_final, x_samples=cfg.x_samples,
               t_samples=cfg.t_samples)
-    SolverSizing(cells_per_width=cfg.cells_per_width,
-                 margin_efolds=cfg.margin_efolds, cfl=cfg.cfl,
-                 tau_max=cfg.tau_max)
+    SolverSizing(cells_per_width=cfg.cells_per_width, cfl=cfg.cfl)
 
 
 def _cli(*argv):

@@ -90,29 +90,44 @@ def test_full_error_against_profile_error(shock, law, omega):
     assert res.error <= e_prof + 1e-2
 
 
-def test_full_error_cap_flag(shock, law, omega):
-    sizing = SolverSizing(tau_max=5.0)
-    res = full_error(shock, 0.2, law, omega, sizing)
+def test_full_error_cap_flag(shock, law, omega, monkeypatch):
+    monkeypatch.setattr(SolverSizing, "tau_max", 5.0)
+    res = full_error(shock, 0.2, law, omega)
     assert res.capped
     assert res.tau_end == 5.0
     assert np.isfinite(res.error)
 
 
-def test_full_error_cap_at_window_opening(shock, law):
+def test_full_error_cap_at_window_opening(shock, law, monkeypatch):
     # the cap is the first admissible one, alpha*tau_max == h, and
     # h/alpha rounds one ulp past tau_max: every lattice stop is tau_max
     alpha, tau_max = 0.1, 24.0
     omega = OmegaSpec(h=alpha * tau_max, t_final=2.0 * alpha * tau_max,
                       x_samples=201, t_samples=3)
     assert omega.h / alpha > tau_max
-    res = full_error(shock, alpha, law, omega, SolverSizing(tau_max=tau_max))
+    monkeypatch.setattr(SolverSizing, "tau_max", tau_max)
+    res = full_error(shock, alpha, law, omega)
     assert res.capped and res.tau_end == tau_max
     assert np.isfinite(res.error)
 
 
-def test_sweep_records_failures(shock, law, omega):
+def test_cap_before_the_window_opens_refused(shock, law, monkeypatch):
+    # alpha*tau_max = 0.8 < h = 1: no lattice time is reachable, so the
+    # entry is refused before a step is taken
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(convergence_harness, "run", no_steps)
+    omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=201, t_samples=3)
+    with pytest.raises(ValidationError, match="^tau_max caps the run "
+                                              "before the sampling window"):
+        full_error(shock, 0.004, law, omega)
+
+
+def test_sweep_records_failures(shock, law, omega, monkeypatch):
     # an unreachable tolerance in one entry must not sink the sweep
-    sizing = SolverSizing(cells_per_width=20.0, margin_efolds=1.0)
+    monkeypatch.setattr(SolverSizing, "margin_efolds", 1.0)
+    sizing = SolverSizing(cells_per_width=20.0)
     sweep = alpha_sweep(shock, law, [0.4, 0.2, 0.1], omega,
                         include_full=True, sizing=sizing)
     assert len(sweep.failures) == 3       # margins far too small
@@ -172,15 +187,15 @@ def test_sweep_propagates_programming_errors(shock, law, omega,
 def test_sizing_refuses_at_construction():
     # each used to be accepted and surface per alpha as a symptom
     # ("grid too narrow", a failing run or a ZeroDivisionError)
-    nan, inf = float("nan"), float("inf")
-    for kwargs, name in (({"margin_efolds": 0.0}, "margin_efolds"),
-                         ({"margin_efolds": nan}, "margin_efolds"),
-                         ({"cfl": 2.0}, "cfl"),
-                         ({"cells_per_width": inf}, "cells_per_width"),
-                         ({"tau_max": nan}, "tau_max")):
+    for kwargs, name in (({"cfl": 2.0}, "cfl"),
+                         ({"cells_per_width": float("inf")},
+                          "cells_per_width")):
         with pytest.raises(ValidationError, match=f"^{name} "):
             SolverSizing(**kwargs)
-    assert SolverSizing(tau_max=inf).tau_max == inf
+    # the margin and the cap are constants, as profile_tol is
+    for name in ("margin_efolds", "tau_max"):
+        with pytest.raises(TypeError):
+            SolverSizing(**{name: 1.0})
 
 
 def test_profile_tol_is_a_constant():

@@ -67,6 +67,14 @@ def test_parameter_mismatch_rejected(prepared, shock, law):
         perturbation(prepared, other)
 
 
+def test_state_of_another_shock_rejected(prepared, law):
+    # the same alpha and gamma, but the wave of a stronger shock
+    other = compute_profile(build_shock(1.3, 1.0, 0.0, law), 0.1, law,
+                            n=1001)
+    with pytest.raises(ValidationError, match="different shocks"):
+        perturbation(prepared, other)
+
+
 def test_hat_function_l2_oracle():
     # hand quadrature: trapezoid of the squared nodal hat {0,1,0} is dy
     dy = 0.125
@@ -243,6 +251,25 @@ def test_decay_check_verdicts():
     assert longtime_decay_check(_synthetic_report(taus, zero), 5.0) == "pass"
     short = _synthetic_report(taus[:5], decaying[:5])
     assert longtime_decay_check(short, 5.0) == "inconclusive"
+
+
+def test_decay_check_fails_a_rising_window_mean():
+    # the last value is under a tenth of the peak, but the third of the
+    # four post-peak windows has a larger mean than the second
+    taus = np.linspace(0.0, 10.0, 41)
+    grads = np.full(41, 0.01)
+    grads[0], grads[25:30] = 1.0, 0.09
+    assert longtime_decay_check(_synthetic_report(taus, grads), 5.0) == "fail"
+
+
+def test_decay_check_fails_a_certified_bound_that_does_not_shrink():
+    # the gradient decays as in the passing case, but its derivative
+    # grows as fast, so sqrt(||grad|| * ||grad2||) stays at its peak
+    taus = np.linspace(0.0, 10.0, 41)
+    report = _synthetic_report(taus, np.exp(-taus))
+    assert longtime_decay_check(report, 5.0) == "pass"
+    report.grad2_sq_series = list(np.exp(taus))
+    assert longtime_decay_check(report, 5.0) == "fail"
 
 
 def test_snapshot_shares_one_wave_evaluation(prepared, reference_profile,

@@ -513,3 +513,50 @@ def test_grid_refuses_infinite_bounds():
         Grid1D(-70.0, float("inf"), 400)
     with pytest.raises(ValidationError, match="y_min must be finite"):
         Grid1D(-float("inf"), 52.0, 400)
+
+
+@pytest.fixture(scope="module")
+def unit_run(reference_profile):
+    # the wave-prepared state of gamma 2, alpha 0.1 and its run to tau 2
+    state = init_state(reference_profile, Grid1D(-70.0, 52.0, 1600))
+    return state, run(state, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-3, 10.0, 1e4])
+def test_run_scales_with_the_volumes(unit_run, shock, lam):
+    # with p = v**-gamma the stretched system is invariant under v -> lam*v,
+    # u -> b*u, y -> a*y and tau -> lam**(gamma-alpha)*tau, with
+    # a = lam**((gamma-1-2*alpha)/2) and b = lam**((1-gamma)/2)
+    # (Barenblatt 1996); the CFL step scales as tau does, so every step is
+    # the image of the unit run's.  Measured: volumes within 5.6e-15*delta
+    # and velocities within 4.1e-15, in unit scale
+    state, (final, record) = unit_run
+    gamma, alpha = state.law.gamma, state.alpha
+    a = lam ** ((gamma - 1.0 - 2.0 * alpha) / 2.0)
+    b = lam ** ((1.0 - gamma) / 2.0)
+    grid, u = state.grid, b * state.u
+    scaled = replace(state, grid=Grid1D(a * grid.y_min, a * grid.y_max,
+                                        grid.n_cells),
+                     v=lam * state.v, u=u, bc_u=(float(u[0]), float(u[-1])),
+                     shock=None)
+    final_lam, record_lam = run(scaled, 2.0 * lam ** (gamma - alpha))
+    assert record_lam.n_steps == record.n_steps
+    assert np.max(np.abs(final_lam.v / lam - final.v)) <= 5e-14 * shock.delta
+    assert np.max(np.abs(final_lam.u / b - final.u)) <= 5e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [-3.0, 0.5, 100.0])
+def test_run_is_galilean_invariant(unit_run, shock, c):
+    # u -> u + c with the boundary velocities shifted leaves the volumes
+    # and shifts the velocities, up to the rounding of u + c, which grows
+    # with |c|.  Measured: 8.9e-13*delta and 4.3e-13 at c = 100
+    state, (final, record) = unit_run
+    u = state.u + c
+    final_c, record_c = run(replace(state, u=u,
+                                    bc_u=(float(u[0]), float(u[-1]))), 2.0)
+    bound = 5e-14 * (1.0 + abs(c))
+    assert record_c.n_steps == record.n_steps
+    assert np.max(np.abs(final_c.v - final.v)) <= bound * shock.delta
+    assert np.max(np.abs(final_c.u - c - final.u)) <= bound

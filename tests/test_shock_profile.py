@@ -71,8 +71,7 @@ def test_tail_rates_reference_values(shock, law):
 
 def test_profile_normalization_and_bounds(profile, shock):
     mid = 0.5 * (shock.v_minus + shock.v_plus)
-    assert profile.normalization == mid
-    assert profile.eval_V(0.0) == pytest.approx(mid, abs=1e-15)
+    assert profile.eval_V(0.0) == mid
     assert math.isnan(profile.eval_V(math.nan))
     assert np.all(np.diff(profile.V) < 0.0)
     assert np.all(np.diff(profile.U) < 0.0)
@@ -116,6 +115,17 @@ def test_residual_detects_perturbation(profile):
     assert r1 > 100.0 * r0
 
 
+def test_tail_fit_past_both_cutoffs_reads_nan(profile):
+    # no knot or sample lies at |xi| >= h_probe, so neither tail has the
+    # 8 points of a fit, and the rates cannot be confirmed
+    h_probe = 1.01 * max(-profile.xi_cut_left, profile.xi_cut_right)
+    rep = verify_profile_properties(profile, h_probe=h_probe)
+    assert math.isnan(rep.fitted_rate_left)
+    assert math.isnan(rep.fitted_rate_right)
+    assert not rep.rates_ok and not rep.all_ok
+    assert rep.bounds_ok and rep.monotone_ok
+
+
 def test_property_report(profile):
     rep = verify_profile_properties(profile, h_probe=0.0)
     assert rep.bounds_ok and rep.monotone_ok and rep.du_negative_ok
@@ -153,7 +163,7 @@ def test_compute_profile_validation(shock, law):
 
 def test_rescaled_eval_points(profile, shock):
     v0, u0 = rescaled_profile_eval(profile, 0.0, 0.0)
-    assert v0 == profile.normalization
+    assert v0 == 0.5 * (shock.v_minus + shock.v_plus)
     assert u0 == pytest.approx(
         shock.u_minus - shock.s * (v0 - shock.v_minus), rel=1e-15)
     # traveling-wave invariance along the ray
@@ -288,7 +298,8 @@ def test_shock_and_wave_scale_with_the_volumes(gamma, log_ratio, log_alpha,
     # with p = v**-gamma the system is invariant under v -> lam*v with
     # s -> lam**(-(gamma+1)/2)*s and xi -> a*xi, a = lam**((gamma-1-2*alpha)/2)
     # (Barenblatt 1996): so V_lam(a*xi) = lam*V_1(xi), each wave within
-    # its own tol*v_minus of the exact one
+    # its own tol*v_minus of the exact one, and the tail cutoffs, where
+    # the wave is eps_tail from its end states, are the scaled ones
     law, alpha, ratio, lam = (PressureLaw(gamma), math.exp(log_alpha),
                               math.exp(log_ratio), math.exp(log_scale))
     unit = build_shock(1.0 + ratio, 1.0, 0.0, law)
@@ -301,6 +312,11 @@ def test_shock_and_wave_scale_with_the_volumes(gamma, log_ratio, log_alpha,
     a = lam ** ((gamma - 1.0 - 2.0 * alpha) / 2.0)
     err = np.max(np.abs(p_lam.eval_V(a * xi) - lam * p1.eval_V(xi)))
     assert err <= 2.0 * p1.tol * lam * unit.v_minus
+    assert p_lam.eps_tail / scaled.delta == pytest.approx(
+        p1.eps_tail / unit.delta, rel=1e-10, abs=0.0)
+    for cut in ("xi_cut_left", "xi_cut_right"):
+        assert getattr(p_lam, cut) / a == pytest.approx(
+            getattr(p1, cut), rel=1e-10, abs=0.0)
 
 
 def _latin_hypercube(draws, seed):
