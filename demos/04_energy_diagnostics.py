@@ -34,7 +34,7 @@ def energy_run(amp):
     energy_snapshot(state, profile, report)
     run(state, 10.0,
         observer=lambda s: energy_snapshot(s, profile, report),
-        observe_every=0.5, cfl=0.4, max_dtau=0.25 * grid.dy ** 2)
+        observe_every=0.5)
     return report
 
 

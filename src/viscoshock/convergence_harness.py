@@ -101,8 +101,6 @@ def _omega_positions(shock: ShockData, omega: OmegaSpec, t: float,
     """Sample positions at time t: a uniform lattice over [x_lo, x_hi]
     plus the two points exactly at distance h from the ray, everything
     inside the strip |x - s*t| < h excluded."""
-    if t < omega.h:
-        raise ValidationError("wedge sampling starts at t = h")
     xs = np.concatenate((np.linspace(x_lo, x_hi, omega.x_samples),
                          [shock.s * t - omega.h, shock.s * t + omega.h]))
     keep = np.abs(xs - shock.s * t) >= omega.h * (1.0 - 1e-12)

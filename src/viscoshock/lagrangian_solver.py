@@ -317,8 +317,8 @@ def run(state: SolverState, tau_end: float, observer=None,
 
     The step is the acoustic CFL limit cfl*dy/max|wave speed|, cfl in
     (0, 1; the second-order step allows 0.8 by default), from the current
-    volumes, capped by max_dtau > 0 (the convergence tests tie the step
-    to dy**2 this way) and clipped to the next stop: each multiple of
+    volumes, capped by max_dtau > 0 (no library caller; two benchmark
+    workloads pin it) and clipped to the next stop: each multiple of
     observe_every after the start if an observer is given, then tau_end.
     A stop t counts as reached within 1e-12*max(1, |t|), and the clock is
     then set to t exactly: the observer sees the read-only state at

@@ -429,8 +429,11 @@ def verify_profile_properties(profile: ViscousProfile,
     window (amplitudes between 1e3*eps_tail and 3% of the smaller of
     delta and that side's end state), and must match the analytic rates
     within 5% for rates_ok.  Derivative sups are taken along the exact
-    ODE flow (dense in V), not from grid differences.
+    ODE flow (dense in V), not from grid differences.  h_probe must be
+    finite and >= 0.
     """
+    if not 0.0 <= h_probe < math.inf:
+        raise ValidationError("h_probe must be finite and >= 0")
     shock = profile.shock
     vp, vm = shock.v_plus, shock.v_minus
     V, U = profile.V, profile.U

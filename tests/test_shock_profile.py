@@ -126,6 +126,14 @@ def test_tail_fit_past_both_cutoffs_reads_nan(profile):
     assert rep.bounds_ok and rep.monotone_ok
 
 
+@pytest.mark.parametrize("h_probe", [math.nan, math.inf, -math.inf, -5.0])
+def test_property_report_refuses_bad_h_probe(profile, h_probe):
+    # NaN and +-inf used to empty both fit windows and read all_ok False
+    # on a correct wave, and a negative one passed unchecked
+    with pytest.raises(ValidationError, match="^h_probe"):
+        verify_profile_properties(profile, h_probe=h_probe)
+
+
 def test_property_report(profile):
     rep = verify_profile_properties(profile, h_probe=0.0)
     assert rep.bounds_ok and rep.monotone_ok and rep.du_negative_ok
