@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, ViscoshockError
 from .euler_waves import PressureLaw, ShockData, riemann_shock_eval
-from .lagrangian_solver import Grid1D, _check_run_args, init_state, run
+from .lagrangian_solver import _CFL, Grid1D, _check_run_args, init_state, run
 from .shock_profile import compute_profile
 
 __all__ = [
@@ -58,13 +58,13 @@ class SolverSizing:
 
     The stretched-frame tail scale is 1/mu, mu the stretched decay rate:
     margin_efolds of it separate the wave from each boundary and finite
-    cells_per_width >= 20 cells resolve one; 0 < cfl < 1 (0.8 by default:
-    the step is second order in time).  Class constants: runs stop at
+    cells_per_width >= 20 cells resolve one; 0 < cfl < 1 (0.95 by default,
+    as for run: the step is stable up to 1).  Class constants: runs stop at
     stretched time tau_max; each entry's one wave is built at profile_tol.
     """
 
     cells_per_width: float = 26.0
-    cfl: float = 0.8
+    cfl: float = _CFL
     margin_efolds: ClassVar[float] = 20.0
     tau_max: ClassVar[float] = 200.0
     profile_tol: ClassVar[float] = 1e-12
@@ -111,11 +111,13 @@ def _omega_positions(shock: ShockData, omega: OmegaSpec, t: float,
 @dataclass(frozen=True)
 class FullErrorResult:
     """One full-solution error; n_cells counts the cells stepped, those
-    of the window that follows the wave, not of the grid it slides on."""
+    of the window that follows the wave, not of the grid it slides on,
+    and n_steps the steps of all its window runs."""
 
     error: float
     capped: bool
     n_cells: int
+    n_steps: int
     tau_end: float
     window_ok: bool     # volumes stayed within [v_plus/4, 2*v_plus]
 
@@ -161,14 +163,16 @@ def _full_error(profile, omega, sizing):
     # ahead of it, y_max behind (less under a cell) and 1/mu of slack,
     # which the wave crosses in one chunk.  Cells outside keep their last
     # values, the far-field data ahead and the frozen tail behind, both
-    # the end states to within e**-margin_efolds.
+    # the end states to within e**-margin_efolds.  Neither side trims to
+    # h/alpha + 6/mu: stale cells then enter ahead and the acoustic pulse
+    # reflects off the pinned back edge (E_full moved 1.6e-3 relative).
     dy, slack = grid.dy, 1.0 / mu
     n_w = min(n_cells, int(np.ceil((margin + 3.0 * slack + y_max) / dy)))
     chunk = slack / abs(shock.s)
     t_lattice = np.linspace(omega.h, min(omega.t_final, alpha * tau_end),
                             omega.t_samples)
     yc, yi = grid.centers(), grid.interfaces()
-    err, window_ok = 0.0, True
+    err, window_ok, n_steps = 0.0, True, 0
     # stop at each lattice time, no later than tau_end (t/alpha can round
     # past a cap), and sample at t itself: alpha*state.tau can round below h
     stops = np.minimum(t_lattice[:-1] / alpha, tau_end)
@@ -184,6 +188,7 @@ def _full_error(profile, omega, sizing):
                 min(stop, state.tau + chunk), cfl=sizing.cfl)
             v[i0:i1], u[i0:i1 + 1] = state.v, state.u
             window_ok = window_ok and record.volume_window_ok(shock.v_plus)
+            n_steps += record.n_steps
         xs = _omega_positions(shock, omega, t,
                               alpha * grid.y_min, alpha * grid.y_max)
         ys = xs / alpha
@@ -193,7 +198,8 @@ def _full_error(profile, omega, sizing):
         err = max(err, float(np.max(np.abs(v_num - v_ref)
                                     + np.abs(u_num - u_ref))))
     return FullErrorResult(error=err, capped=capped, n_cells=n_w,
-                           tau_end=tau_end, window_ok=window_ok)
+                           n_steps=n_steps, tau_end=tau_end,
+                           window_ok=window_ok)
 
 
 @dataclass

@@ -13,11 +13,14 @@ a half kick of the velocities with implicit dissipation, a drift of the
 volumes, and an explicit half kick with the new volumes' coefficients.
 That is Stormer-Verlet for the pressure and Crank-Nicolson for the
 dissipation, which is stable at any step, so the acoustic CFL limit is
-the only constraint.  The implicit matrix is symmetric positive-definite
-tridiagonal, solved by LAPACK's dptsv.  Velocities at the two boundary
-interfaces are held at their initial values (domains are sized so the
-wave never comes near the boundary), and volumes evolve conservatively
-everywhere so that the discrete mass identity is exact to rounding.
+the only constraint: Stormer-Verlet needs dtau*omega < 2, and the grid's
+fastest mode has omega = 2c/dy, so every cfl below 1 is stable at any
+viscosity; runs step at cfl 0.95 by default.  The implicit matrix is
+symmetric positive-definite tridiagonal, solved by LAPACK's dptsv.
+Velocities at the two boundary interfaces are held at their initial
+values (domains are sized so the wave never comes near the boundary),
+and volumes evolve conservatively everywhere so that the discrete mass
+identity is exact to rounding.
 
 Volumes are validated at the public edge only: step checks its input
 state, run checks it once on entry, and the stepping kernel relies on
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 DTAU_FLOOR = 1e-12
+_CFL = 0.95     # run's and SolverSizing's default share of the acoustic limit
 
 
 @dataclass(frozen=True)
@@ -311,13 +315,13 @@ def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=math.inf,
 
 
 def run(state: SolverState, tau_end: float, observer=None,
-        observe_every: float = math.inf, cfl: float = 0.8,
+        observe_every: float = math.inf, cfl: float = _CFL,
         max_dtau: float = math.inf):
     """March the state to tau_end, finite and >= state.tau.
 
-    The step is the acoustic CFL limit cfl*dy/max|wave speed|, cfl in
-    (0, 1; the second-order step allows 0.8 by default), from the current
-    volumes, capped by max_dtau > 0 (no library caller; two benchmark
+    The step is the acoustic CFL limit cfl*dy/max|wave speed| from the
+    current volumes (0 < cfl < 1, by default 0.95; the step is stable up
+    to 1), capped by max_dtau > 0 (no library caller; two benchmark
     workloads pin it) and clipped to the next stop: each multiple of
     observe_every after the start if an observer is given, then tau_end.
     A stop t counts as reached within 1e-12*max(1, |t|), and the clock is

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from viscoshock import Grid1D, OmegaSpec, SolverSizing, ValidationError
+from viscoshock import (Grid1D, OmegaSpec, SolverSizing, ValidationError,
+                        run)
 from viscoshock.cli_io import (RunConfig, _fmt, _law_and_shock, emit_csv,
                                emit_json, load_config, main, parse_config)
 
@@ -261,6 +263,15 @@ def test_readme_config_block_is_the_default_config():
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
     assert len(keys) == 22
     assert parse_config(block) == RunConfig()
+
+
+def test_one_default_cfl():
+    # run, the sweep sizing, the config and the README step at one cfl;
+    # the README's config block is RunConfig() by the test above
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfl = inspect.signature(run).parameters["cfl"].default
+    assert SolverSizing().cfl == RunConfig().cfl == cfl
+    assert f"defaults to {cfl}." in readme
 
 
 def test_selftest_writes_through_subcommand_writers(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from viscoshock import (Grid1D, OmegaSpec, SolverSizing, ValidationError,
-                        alpha_sweep, compute_profile, convergence_harness,
-                        full_error, init_state, profile_only_error,
+from viscoshock import (Grid1D, OmegaSpec, PressureLaw, SolverSizing,
+                        ValidationError, alpha_sweep, build_shock,
+                        compute_profile, convergence_harness, full_error,
+                        init_state, lagrangian_solver, profile_only_error,
                         riemann_shock_eval, run)
 from viscoshock.convergence_harness import _omega_positions
 
@@ -86,6 +87,32 @@ def test_full_error_against_profile_error(shock, law, omega):
     # the wave-tail error is a lower bound up to the scheme floor
     assert res.error >= e_prof - 1e-3
     assert res.error <= e_prof + 1e-2
+
+
+def test_full_error_counts_its_steps(shock, law, omega, monkeypatch):
+    # n_steps sums the steps of every window run
+    calls = []
+    advance = lagrangian_solver._advance
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+
+    monkeypatch.setattr(lagrangian_solver, "_advance", counted)
+    res = full_error(shock, 0.2, law, omega)
+    assert res.n_steps == len(calls) > 0
+
+
+def test_default_cfl_cuts_the_sweep_steps(shock, law):
+    # the criterion-7 sweep at the default cfl 0.95 against cfl 0.8:
+    # measured 1,096 against 1,294 steps (0.847)
+    omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
+
+    def steps(sizing):
+        return sum(full_error(shock, a, law, omega, sizing).n_steps
+                   for a in (0.4, 0.2, 0.1, 0.05))
+
+    assert steps(SolverSizing()) <= 0.86 * steps(SolverSizing(cfl=0.8))
 
 
 def test_full_error_cap_flag(shock, law, omega, monkeypatch):
@@ -247,11 +274,19 @@ def _full_domain_error(profile, omega, sizing):
     return err, n_cells
 
 
-@pytest.mark.parametrize("alpha", [0.4, 0.05])
-def test_window_matches_the_full_domain(shock, law, alpha):
+@pytest.mark.parametrize("gamma, delta, alpha", [
+    pytest.param(2.0, 0.2, 0.4, id="0.4"),
+    pytest.param(2.0, 0.2, 0.05, id="0.05"),
+    pytest.param(2.75, 0.446, 0.081, id="strong-0.081"),
+    pytest.param(2.02, 2.45, 0.529, id="strong-0.529")])
+def test_window_matches_the_full_domain(gamma, delta, alpha):
     # the sliding window moves the error by the steps clipped at its chunk
-    # ends (measured 1.9e-6 and 3.9e-5 relative) and the frozen far field
-    # by less; at alpha 0.05 it steps 1,119 of the 1,559 cells
+    # ends and the frozen far field by less: measured 1.4e-7, 4.4e-6,
+    # 4.4e-6 and 9.6e-7 relative.  Windows of h/alpha + 6/mu a side read
+    # 1.4e-4 and 1.6e-3 on the strong shocks.  At alpha 0.05 the window
+    # steps 1,119 of the 1,559 cells
+    law = PressureLaw(gamma)
+    shock = build_shock(1.0 + delta, 1.0, 0.0, law)
     omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
     sizing = SolverSizing()
     wave = compute_profile(shock, alpha, law, tol=sizing.profile_tol)
