@@ -58,12 +58,14 @@ class SolverSizing:
 
     The stretched-frame tail scale is 1/mu, mu the stretched decay rate:
     margin_efolds of it separate the wave from each boundary and finite
-    cells_per_width >= 20 cells resolve one; 0 < cfl < 1 (0.95 by default,
-    as for run: the step is stable up to 1).  Class constants: runs stop at
-    stretched time tau_max; each entry's one wave is built at profile_tol.
+    cells_per_width >= 20 cells resolve one (20 by default; the scheme's
+    share of E_full falls as its inverse square, so raise it for E_full
+    closer to E_profile); 0 < cfl < 1 (0.95 by default, as for run: the
+    step is stable up to 1).  Class constants: runs stop at stretched
+    time tau_max; each entry's one wave is built at profile_tol.
     """
 
-    cells_per_width: float = 26.0
+    cells_per_width: float = 20.0
     cfl: float = _CFL
     margin_efolds: ClassVar[float] = 20.0
     tau_max: ClassVar[float] = 200.0
@@ -210,6 +212,8 @@ class SweepResult:
     e_profile: list
     e_full: list                 # NaN entries when full runs were skipped
     capped: list
+    n_cells: list                # each full run's window cells and steps,
+    n_steps: list                # 0 where it was skipped or refused
     failures: dict               # alpha -> error message
     c_fit: float = float("nan")
     big_c_fit: float = float("nan")
@@ -251,7 +255,7 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
     alphas = _check_alphas(alphas)
     nan = float("nan")
     out = SweepResult(alphas=alphas, e_profile=[], e_full=[], capped=[],
-                      failures={})
+                      n_cells=[], n_steps=[], failures={})
     for a in alphas:
         try:
             wave = compute_profile(shock, a, law, tol=sizing.profile_tol)
@@ -263,6 +267,8 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
         out.e_profile.append(e_p)
         out.e_full.append(nan if full is None else full.error)
         out.capped.append(full is not None and full.capped)
+        out.n_cells.append(0 if full is None else full.n_cells)
+        out.n_steps.append(0 if full is None else full.n_steps)
         out.window_ok = out.window_ok and (full is None or full.window_ok)
 
     valid = [(a, e) for a, e in zip(alphas, out.e_profile)

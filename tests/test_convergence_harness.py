@@ -104,15 +104,35 @@ def test_full_error_counts_its_steps(shock, law, omega, monkeypatch):
 
 
 def test_default_cfl_cuts_the_sweep_steps(shock, law):
-    # the criterion-7 sweep at the default cfl 0.95 against cfl 0.8:
-    # measured 1,096 against 1,294 steps (0.847)
+    # the criterion-7 sweep at the default cfl 0.95 against cfl 0.8, both
+    # at 26 cells per width: measured 1,096 against 1,294 steps (0.847).
+    # At 20 it reads 853/990 = 0.862: on the coarser grid the steps
+    # clipped at chunk ends and lattice stops take a larger share
     omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
 
     def steps(sizing):
         return sum(full_error(shock, a, law, omega, sizing).n_steps
                    for a in (0.4, 0.2, 0.1, 0.05))
 
-    assert steps(SolverSizing()) <= 0.86 * steps(SolverSizing(cfl=0.8))
+    assert (steps(SolverSizing(cells_per_width=26.0))
+            <= 0.86 * steps(SolverSizing(cells_per_width=26.0, cfl=0.8)))
+
+
+def test_default_sizing_cuts_the_sweep_cell_steps(shock, law):
+    # the criterion-7 sweep at the default 20 cells per width against 26:
+    # measured 734,433 against 1,226,424 cell-steps (0.599); each entry
+    # lists its window's cells and steps
+    omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)
+
+    def cell_steps(sizing):
+        sweep = alpha_sweep(shock, law, [0.4, 0.2, 0.1, 0.05], omega,
+                            sizing=sizing)
+        assert all(c > 0 and n > 0
+                   for c, n in zip(sweep.n_cells, sweep.n_steps))
+        return sum(c * n for c, n in zip(sweep.n_cells, sweep.n_steps))
+
+    assert (cell_steps(SolverSizing())
+            <= 0.62 * cell_steps(SolverSizing(cells_per_width=26.0)))
 
 
 def test_full_error_cap_flag(shock, law, omega, monkeypatch):
@@ -157,6 +177,7 @@ def test_sweep_records_failures(shock, law, omega, monkeypatch):
                         include_full=True, sizing=sizing)
     assert len(sweep.failures) == 3       # margins far too small
     assert all(np.isnan(e) for e in sweep.e_full)
+    assert sweep.n_cells == sweep.n_steps == [0, 0, 0]
 
 
 @pytest.mark.parametrize("alpha", [0.104, 0.114, 0.116])
@@ -188,14 +209,18 @@ def test_sweep_builds_one_wave_per_entry(shock, law, omega, monkeypatch):
     sweep = alpha_sweep(shock, law, alphas, omega)
     assert calls == alphas
     calls.clear()
-    alpha_sweep(shock, law, alphas, omega, include_full=False)
+    bare = alpha_sweep(shock, law, alphas, omega, include_full=False)
     assert calls == alphas
+    assert bare.n_cells == bare.n_steps == [0, 0, 0, 0]
     # standalone calls reproduce the sweep's entries bit for bit
     sizing = SolverSizing()
-    for a, e_p, e_f in zip(alphas, sweep.e_profile, sweep.e_full):
+    for a, e_p, e_f, cells, steps in zip(alphas, sweep.e_profile,
+                                         sweep.e_full, sweep.n_cells,
+                                         sweep.n_steps):
         assert profile_only_error(shock, a, law, omega,
                                   tol=sizing.profile_tol) == e_p
-        assert full_error(shock, a, law, omega, sizing).error == e_f
+        full = full_error(shock, a, law, omega, sizing)
+        assert (full.error, full.n_cells, full.n_steps) == (e_f, cells, steps)
 
 
 def test_sweep_propagates_programming_errors(shock, law, omega,
@@ -281,10 +306,11 @@ def _full_domain_error(profile, omega, sizing):
     pytest.param(2.02, 2.45, 0.529, id="strong-0.529")])
 def test_window_matches_the_full_domain(gamma, delta, alpha):
     # the sliding window moves the error by the steps clipped at its chunk
-    # ends and the frozen far field by less: measured 1.4e-7, 4.4e-6,
-    # 4.4e-6 and 9.6e-7 relative.  Windows of h/alpha + 6/mu a side read
-    # 1.4e-4 and 1.6e-3 on the strong shocks.  At alpha 0.05 the window
-    # steps 1,119 of the 1,559 cells
+    # ends and the frozen far field by less: measured 4.6e-8, 4.4e-6,
+    # 4.0e-6 and 2.2e-6 relative at the default 20 cells per width
+    # (1.4e-7, 4.4e-6, 4.4e-6 and 9.6e-7 at 26).  Windows of h/alpha +
+    # 6/mu a side read 1.4e-4 and 1.6e-3 on the strong shocks at 26.  At
+    # alpha 0.05 the window steps 861 of the 1,199 cells
     law = PressureLaw(gamma)
     shock = build_shock(1.0 + delta, 1.0, 0.0, law)
     omega = OmegaSpec(h=1.0, t_final=2.0, x_samples=801, t_samples=5)

@@ -115,6 +115,27 @@ def test_residual_detects_perturbation(profile):
     assert r1 > 100.0 * r0
 
 
+@pytest.mark.filterwarnings(
+    "error",
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(log_scale=st.floats(math.log(1e-8), math.log(1e8)))
+@example(log_scale=math.log(1e-8))
+@example(log_scale=math.log(1e8))
+def test_residual_is_scale_free(log_scale):
+    # the default shape (gamma 2, v 1.2 -> 1, alpha 0.1) at v -> lam*v:
+    # each equation divided by its own scale, the residual reads the
+    # unit-scale 2.765e-6 within 1e-5 relative (measured from lam 1e-10
+    # to 1e9); the bound is 1e-4.  The absolute residual moved from
+    # 6.8e-23 to 1.1e18 over the same range
+    law, lam = PressureLaw(2.0), math.exp(log_scale)
+    unit = profile_residual(compute_profile(build_shock(1.2, 1.0, 0.0, law),
+                                            0.1, law))
+    scaled = profile_residual(compute_profile(
+        build_shock(1.2 * lam, lam, 0.0, law), 0.1, law))
+    assert scaled == pytest.approx(unit, rel=1e-4, abs=0.0)
+
+
 def test_tail_fit_past_both_cutoffs_reads_nan(profile):
     # no knot or sample lies at |xi| >= h_probe, so neither tail has the
     # 8 points of a fit, and the rates cannot be confirmed
