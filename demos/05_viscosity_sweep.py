@@ -17,9 +17,8 @@ sweep = alpha_sweep(shock, law, [0.4, 0.2, 0.1, 0.05], omega,
                     include_full=True)
 
 print("alpha    E_tail        E_full        capped")
-for a, ep, ef, c in zip(sweep.alphas, sweep.e_profile, sweep.e_full,
-                        sweep.capped):
-    print(f"{a:5.2f}   {ep:.6e}  {ef:.6e}  {c}")
+for a, ep, full in zip(sweep.alphas, sweep.e_profile, sweep.full):
+    print(f"{a:5.2f}   {ep:.6e}  {full.error:.6e}  {full.capped}")
 
 print(f"\nexponential fit: E ~ {sweep.big_c_fit:.4f} * exp(-{sweep.c_fit:.4f}"
       f" / alpha),  r^2 = {sweep.r_squared:.5f}")

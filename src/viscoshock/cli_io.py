@@ -53,7 +53,7 @@ class RunConfig:
     y_min: float = -70.0
     y_max: float = 52.0
     n_cells: int = 1600
-    cfl: float = ch.SolverSizing.cfl
+    cfl: float = ls._CFL
     tau_end: float = 8.0
     observe_every: float = 0.25
     inject_amplitude: float = 0.0
@@ -204,7 +204,7 @@ def _profile(x):
 
 def _sweep_specs(cfg: RunConfig):
     return (ch.OmegaSpec(cfg.h, cfg.t_final, cfg.x_samples, cfg.t_samples),
-            ch.SolverSizing(cfg.cells_per_width, cfg.cfl))
+            ch.SolverSizing(cfg.cells_per_width))
 
 
 def _shock_payload(law, shock):
@@ -346,8 +346,9 @@ def _write_sweep(cfg: RunConfig, include_full, out_dir: Path):
     result = ch.alpha_sweep(shock, law, cfg.alphas, omega,
                             include_full=include_full, sizing=sizing)
     out_dir.mkdir(parents=True, exist_ok=True)
+    capped = [f is not None and f.capped for f in result.full]
     emit_csv(np.array(list(zip(result.alphas, result.e_profile,
-                               result.e_full, result.capped)), dtype=object),
+                               result.e_full, capped)), dtype=object),
              ["alpha", "E_profile", "E_full", "capped"],
              out_dir / "sweep.csv")
     emit_json({

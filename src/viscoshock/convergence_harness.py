@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, ViscoshockError
 from .euler_waves import PressureLaw, ShockData, riemann_shock_eval
-from .lagrangian_solver import _CFL, Grid1D, _check_run_args, init_state, run
+from .lagrangian_solver import Grid1D, init_state, run
 from .shock_profile import compute_profile
 
 __all__ = [
@@ -58,15 +58,14 @@ class SolverSizing:
 
     The stretched-frame tail scale is 1/mu, mu the stretched decay rate:
     margin_efolds of it separate the wave from each boundary and finite
-    cells_per_width >= 20 cells resolve one (20 by default; the scheme's
-    share of E_full falls as its inverse square, so raise it for E_full
-    closer to E_profile); 0 < cfl < 1 (0.95 by default, as for run: the
-    step is stable up to 1).  Class constants: runs stop at stretched
+    cells_per_width >= 20 cells resolve one (20 by default).  The runs
+    step at run's default cfl, so the step shrinks with the cell and the
+    scheme's share of E_full falls as 1/cells_per_width**2: raise it for
+    E_full closer to E_profile.  Class constants: runs stop at stretched
     time tau_max; each entry's one wave is built at profile_tol.
     """
 
     cells_per_width: float = 20.0
-    cfl: float = _CFL
     margin_efolds: ClassVar[float] = 20.0
     tau_max: ClassVar[float] = 200.0
     profile_tol: ClassVar[float] = 1e-12
@@ -74,7 +73,6 @@ class SolverSizing:
     def __post_init__(self):
         if not 20.0 <= self.cells_per_width < np.inf:
             raise ValidationError("cells_per_width must be finite and >= 20")
-        _check_run_args(self.cfl)
 
 
 def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
@@ -91,11 +89,11 @@ def profile_only_error(shock: ShockData, alpha: float, law: PressureLaw,
 
 
 def _tail_error(profile, omega):
-    V = profile.eval_V(np.array([-omega.h, omega.h]))
-    ref = np.array([profile.shock.v_minus, profile.shock.v_plus])
+    # offsets from the end states, so an error under their ulp is not 0;
     # velocity deviation is |s| times the volume deviation (integrated
     # mass equation), so the pair error carries the factor 1 + |s|
-    return float(np.max((1.0 + abs(profile.shock.s)) * np.abs(V - ref)))
+    _, offset = profile._end_and_offset(np.array([-omega.h, omega.h]))
+    return float(np.max((1.0 + abs(profile.shock.s)) * np.abs(offset)))
 
 
 def _omega_positions(shock: ShockData, omega: OmegaSpec, t: float,
@@ -187,7 +185,7 @@ def _full_error(profile, omega, sizing):
                 replace(state, grid=Grid1D(yi[i0], yi[i1], n_w),
                         v=v[i0:i1], u=u[i0:i1 + 1],
                         bc_u=(float(u[i0]), float(u[i1]))),
-                min(stop, state.tau + chunk), cfl=sizing.cfl)
+                min(stop, state.tau + chunk))
             v[i0:i1], u[i0:i1 + 1] = state.v, state.u
             window_ok = window_ok and record.volume_window_ok(shock.v_plus)
             n_steps += record.n_steps
@@ -206,20 +204,25 @@ def _full_error(profile, omega, sizing):
 
 @dataclass
 class SweepResult:
-    """Assembled sweep: one entry per viscosity strength, finest last."""
+    """Assembled sweep: one entry per viscosity strength, finest last.
+    e_full (NaN where full is None) and window_ok are read from full."""
 
     alphas: list
     e_profile: list
-    e_full: list                 # NaN entries when full runs were skipped
-    capped: list
-    n_cells: list                # each full run's window cells and steps,
-    n_steps: list                # 0 where it was skipped or refused
+    full: list                   # FullErrorResult, None where not run
     failures: dict               # alpha -> error message
     c_fit: float = float("nan")
     big_c_fit: float = float("nan")
     r_squared: float = float("nan")
     monotone_flag: bool = False
-    window_ok: bool = True
+
+    @property
+    def e_full(self):
+        return [float("nan") if f is None else f.error for f in self.full]
+
+    @property
+    def window_ok(self):
+        return all(f.window_ok for f in self.full if f is not None)
 
 
 def _fit_exponential(alphas, errors):
@@ -253,9 +256,7 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
     the sweep continues; other exceptions propagate.
     """
     alphas = _check_alphas(alphas)
-    nan = float("nan")
-    out = SweepResult(alphas=alphas, e_profile=[], e_full=[], capped=[],
-                      n_cells=[], n_steps=[], failures={})
+    out = SweepResult(alphas=alphas, e_profile=[], full=[], failures={})
     for a in alphas:
         try:
             wave = compute_profile(shock, a, law, tol=sizing.profile_tol)
@@ -263,13 +264,9 @@ def alpha_sweep(shock: ShockData, law: PressureLaw, alphas,
             full = _full_error(wave, omega, sizing) if include_full else None
         except ViscoshockError as exc:
             out.failures[a] = f"{type(exc).__name__}: {exc}"
-            e_p, full = nan, None
+            e_p, full = float("nan"), None
         out.e_profile.append(e_p)
-        out.e_full.append(nan if full is None else full.error)
-        out.capped.append(full is not None and full.capped)
-        out.n_cells.append(0 if full is None else full.n_cells)
-        out.n_steps.append(0 if full is None else full.n_steps)
-        out.window_ok = out.window_ok and (full is None or full.window_ok)
+        out.full.append(full)
 
     valid = [(a, e) for a, e in zip(alphas, out.e_profile)
              if np.isfinite(e) and e > 0.0]

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 DTAU_FLOOR = 1e-12
-_CFL = 0.95     # run's and SolverSizing's default share of the acoustic limit
+_CFL = 0.95     # run's default share of the acoustic limit
 
 
 @dataclass(frozen=True)
@@ -297,8 +297,7 @@ def _targets(tau0, tau_end, observe_every):
     yield tau_end
 
 
-def _check_run_args(cfl, tau0=0.0, tau_end=0.0, observe_every=math.inf,
-                    max_dtau=math.inf):
+def _check_run_args(cfl, tau0, tau_end, observe_every, max_dtau=math.inf):
     # run's domain from start time tau0; NaN fails every comparison
     if not -math.inf < tau0 <= tau_end < math.inf:
         raise ValidationError("tau_end must be finite and >= the start time")

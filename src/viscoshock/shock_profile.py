@@ -147,21 +147,27 @@ class ViscousProfile:
     def eval_V(self, xi):
         """Volume at traveling coordinate(s) xi, tails included."""
         xi = np.asarray(xi, dtype=float)
-        x = np.atleast_1d(xi)
+        out = np.add(*self._end_and_offset(np.atleast_1d(xi)))
+        return float(out[0]) if xi.ndim == 0 else out
+
+    def _end_and_offset(self, x):
+        # each point's end state and signed offset from it: (v0 - end)*e**a
+        # from either side's spline a(xi) strictly inside, the tail through
+        # the cutoff value on and beyond the cutoff; xi = 0 reads v0 + 0
         vm, vp, eps = self.shock.v_minus, self.shock.v_plus, self.eps_tail
         v0 = 0.5 * (vm + vp)
-        out = np.where(x == 0.0, v0, np.nan)   # a NaN xi reads NaN
-        # end + (v0 - end)*e**a from either side's spline a(xi) strictly
-        # inside, the tail through the cutoff value on and beyond the cutoff
-        for spline, end, v_cut, cut, rate, side, far in zip(
+        end = np.where(x == 0.0, v0, np.nan)   # a NaN xi reads NaN
+        offset = np.where(x == 0.0, 0.0, np.nan)
+        for spline, v_end, v_cut, cut, rate, side, far in zip(
                 self._sides, (vm, vp), (vm - eps, vp + eps),
                 (self.xi_cut_left, self.xi_cut_right),
                 (self.lambda_minus, self.lambda_plus), (x < 0.0, x > 0.0),
                 self._beyond(x)):
             core = side & ~far
-            out[core] = end + (v0 - end) * np.exp(spline(x[core]))
-            out[far] = end + (v_cut - end) * np.exp(rate * (x[far] - cut))
-        return float(out[0]) if xi.ndim == 0 else out
+            end[side] = v_end
+            offset[core] = (v0 - v_end) * np.exp(spline(x[core]))
+            offset[far] = (v_cut - v_end) * np.exp(rate * (x[far] - cut))
+        return end, offset
 
     def _beyond(self, xi):
         # the two switch points: each cutoff belongs to its tail

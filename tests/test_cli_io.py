@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from viscoshock import (Grid1D, OmegaSpec, SolverSizing, ValidationError,
-                        run)
+                        convergence_harness, full_error, run, shock_profile)
 from viscoshock.cli_io import (RunConfig, _fmt, _law_and_shock, emit_csv,
                                emit_json, load_config, main, parse_config)
 
@@ -265,13 +265,32 @@ def test_readme_config_block_is_the_default_config():
     assert parse_config(block) == RunConfig()
 
 
-def test_one_default_cfl():
-    # run, the sweep sizing, the config and the README step at one cfl;
-    # the README's config block is RunConfig() by the test above
+def test_one_default_cfl(shock, law, monkeypatch):
+    # run, the config and the README step at one cfl, and the sweep steps
+    # at run's default; the README's config block is RunConfig() by the
+    # test above
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     cfl = inspect.signature(run).parameters["cfl"].default
-    assert SolverSizing().cfl == RunConfig().cfl == cfl
+    assert RunConfig().cfl == cfl
     assert f"defaults to {cfl}." in readme
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(convergence_harness, "run", spy)
+    full_error(shock, 0.4, law, OmegaSpec(1.0, 2.0, 201, 3))
+    assert calls and not any("cfl" in kwargs for kwargs in calls)
+
+
+def test_selftest_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a failing check is printed, named in the error and exits 2
+    monkeypatch.setattr(shock_profile, "profile_residual", lambda p: 1.0)
+    assert main(["selftest", "--out", str(tmp_path / "selftest")]) == 2
+    out, err = capsys.readouterr()
+    assert "[FAIL] profile residual small" in out.splitlines()
+    assert "selftest failures: profile residual small" in err
 
 
 def test_selftest_writes_through_subcommand_writers(tmp_path):
@@ -416,7 +435,7 @@ def test_config_refuses_by_name_or_builds(key, value):
     Grid1D(y_min=cfg.y_min, y_max=cfg.y_max, n_cells=cfg.n_cells)
     OmegaSpec(h=cfg.h, t_final=cfg.t_final, x_samples=cfg.x_samples,
               t_samples=cfg.t_samples)
-    SolverSizing(cells_per_width=cfg.cells_per_width, cfl=cfg.cfl)
+    SolverSizing(cells_per_width=cfg.cells_per_width)
 
 
 def _cli(*argv):

@@ -41,6 +41,12 @@ def test_removed_parameters_are_gone(shock, law, profile):
                                       profile=profile)
     names = {f.name for f in fields(viscoshock.FullErrorResult)}
     assert not names & {"v_min", "v_max"}
+    # the sweep steps at run's default cfl, and keeps each entry's
+    # FullErrorResult in place of parallel lists copied from it
+    with pytest.raises(TypeError, match="cfl"):
+        viscoshock.SolverSizing(cfl=0.8)
+    names = {f.name for f in fields(viscoshock.SweepResult)}
+    assert not names & {"e_full", "capped", "n_cells", "n_steps"}
 
 
 def test_import_loads_only_scipy_linalg():
